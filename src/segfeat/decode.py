@@ -17,35 +17,19 @@ NEG_INF = float("-inf")
 BRUTE_FORCE_MAX_FRAMES = 16
 
 
-class _EdgeTable:
-    """Banded cache of bigram scores for every span with length <= max_len.
+def _span_column(ctx: ScoreContext, model: SegmentalModel, smin: int, t: int) -> np.ndarray:
+    """Bigram scores of the spans (s, t) for s in [smin, t), one DP column.
 
-    Spans are scored in one batched head evaluation and stored per length
-    band, so edge(s, t) is a flat-array lookup during the DP sweeps.
+    Columns are scored on demand from Q[t] - Q[smin:t] and dropped after use,
+    so a sweep holds O(T*H) memory whatever the cap. Without end spans, a
+    span that starts at 0 or ends at T scores 0, as in score_segmentation.
     """
-
-    def __init__(self, ctx: ScoreContext, model: SegmentalModel, max_len: int):
-        t_total = ctx.n_frames
-        self.t_total = t_total
-        self.max_len = max_len
-        self.include_end_spans = model.cfg.include_end_spans
-        offsets = np.zeros(max_len + 2, dtype=np.intp)
-        for d in range(1, max_len + 1):
-            offsets[d + 1] = offsets[d] + (t_total + 1 - d)
-        self.offsets = offsets
-        starts = np.concatenate([np.arange(t_total + 1 - d) for d in range(1, max_len + 1)])
-        ends = np.concatenate([np.arange(d, t_total + 1) for d in range(1, max_len + 1)])
-        self.flat = bigram_scores_np(ctx, model, starts, ends)
-
-    def vals(self, s: np.ndarray, t: int) -> np.ndarray:
-        out = self.flat[self.offsets[t - s] + s]
-        if not self.include_end_spans:
-            if t == self.t_total:
-                return np.zeros_like(out)
-            if s.size and s[0] == 0:
-                out = out.copy()
-                out[0] = 0.0
-        return out
+    if not model.cfg.include_end_spans and t == ctx.n_frames:
+        return np.zeros(t - smin)
+    vals = bigram_scores_np(ctx, model, np.arange(smin, t), t)
+    if not model.cfg.include_end_spans and smin == 0:
+        vals[0] = 0.0
+    return vals
 
 
 def _reconstruct(backptr, t_total: int) -> Segmentation:
@@ -70,7 +54,6 @@ def dp_segment(ctx: ScoreContext, model: SegmentalModel,
     """
     t_total = ctx.n_frames
     max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
-    edges = _EdgeTable(ctx, model, max_len)
     u = ctx.unary_np
 
     best = np.full(t_total + 1, NEG_INF)
@@ -78,8 +61,7 @@ def dp_segment(ctx: ScoreContext, model: SegmentalModel,
     backptr = np.zeros(t_total + 1, dtype=np.intp)
     for t in range(1, t_total + 1):
         smin = max(0, t - max_len)
-        s = np.arange(smin, t)
-        vals = best[smin:t] + edges.vals(s, t)
+        vals = best[smin:t] + _span_column(ctx, model, smin, t)
         if t < t_total:
             vals = vals + u[t]
         j = int(np.argmax(vals))  # first occurrence: smallest predecessor wins ties
@@ -94,23 +76,22 @@ def dp_segment_k(ctx: ScoreContext, model: SegmentalModel, k: int):
     t_total = ctx.n_frames
     if not (1 <= k <= t_total):
         raise ValueError(f"segment count {k} out of range [1, {t_total}]")
-    edges = _EdgeTable(ctx, model, t_total)
     u = ctx.unary_np
 
     best = np.full((k + 1, t_total + 1), NEG_INF)
     best[0, 0] = 0.0
     backptr = np.zeros((k + 1, t_total + 1), dtype=np.intp)
-    for j in range(1, k + 1):
+    for t in range(1, t_total + 1):
         # j segments need at least j frames and leave room for k - j more
-        for t in range(j, t_total - (k - j) + 1):
-            smin = j - 1
-            s = np.arange(smin, t)
-            vals = best[j - 1, smin:t] + edges.vals(s, t)
-            if t < t_total:
-                vals = vals + u[t]
-            jj = int(np.argmax(vals))
-            best[j, t] = vals[jj]
-            backptr[j, t] = smin + jj
+        j_lo, j_hi = max(1, k - (t_total - t)), min(k, t)
+        smin = j_lo - 1
+        e = _span_column(ctx, model, smin, t)
+        # row j reads best[j - 1, smin:t]; cells with s < j - 1 are -inf
+        vals = best[j_lo - 1:j_hi, smin:t] + e
+        if t < t_total:
+            vals = vals + u[t]
+        best[j_lo:j_hi + 1, t] = vals.max(axis=1)
+        backptr[j_lo:j_hi + 1, t] = smin + np.argmax(vals, axis=1)  # first occurrence
 
     bounds = []
     t = t_total
@@ -133,7 +114,6 @@ def dp_two_best(ctx: ScoreContext, model: SegmentalModel,
     """
     t_total = ctx.n_frames
     max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
-    edges = _EdgeTable(ctx, model, max_len)
     u = ctx.unary_np
 
     best1 = np.full(t_total + 1, NEG_INF)
@@ -143,8 +123,7 @@ def dp_two_best(ctx: ScoreContext, model: SegmentalModel,
     bp2 = [(0, 1)] * (t_total + 1)
     for t in range(1, t_total + 1):
         smin = max(0, t - max_len)
-        s = np.arange(smin, t)
-        e = edges.vals(s, t)
+        e = _span_column(ctx, model, smin, t)
         if t < t_total:
             e = e + u[t]
         c1 = best1[smin:t] + e

@@ -4,20 +4,22 @@ A segmentation is scored as the sum of a per-boundary score (the unary head
 applied to the encoder output at each interior boundary) and a per-segment
 score (the bigram head applied to the sum of encoder outputs across the
 segment). Prefix sums over the hidden sequence make any segment sum an O(1)
-lookup.
+lookup. The bigram head's first layer is linear, so it is applied to the
+prefix sums once: with Q = P @ W1, a segment [s, e) enters the head's tanh
+as Q[e] - Q[s] + b1, and no span ever materializes its 2H-wide sum.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .autodiff import ParameterSet, Tape, Tensor
 from .features import FeatureConfig, FeatureStats, FrameMatrix
-from .nn import bilstm_encode, init_affine, init_lstm, mlp2, mlp2_np
+from .nn import bilstm_encode, init_affine, init_lstm, mlp2
 
 MODEL_MAGIC = b"SEGFEAT\x00"
 MODEL_VERSION = 1
@@ -158,10 +160,16 @@ class SegmentalModel:
             magic = f.read(len(MODEL_MAGIC))
             if magic != MODEL_MAGIC:
                 raise ValueError(f"not a model file: {path}")
-            (hlen,) = struct.unpack("<I", f.read(4))
+            raw = f.read(4)
+            if len(raw) != 4:
+                raise ValueError(f"truncated model file: {path}")
+            (hlen,) = struct.unpack("<I", raw)
             header = json.loads(f.read(hlen).decode("utf-8"))
-            if header.get("format_version") != MODEL_VERSION:
+            if not isinstance(header, dict) or header.get("format_version") != MODEL_VERSION:
                 raise ValueError(f"unsupported model format version in {path}")
+            for key in ("model", "features", "params"):
+                if key not in header:
+                    raise ValueError(f"model file header lacks {key!r}: {path}")
             blocks = {}
             for entry in header["params"]:
                 shape = tuple(entry["shape"])
@@ -170,24 +178,46 @@ class SegmentalModel:
                 if len(raw) != 8 * count:
                     raise ValueError(f"truncated model file: {path}")
                 blocks[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if f.read(1):
+                raise ValueError(f"unexpected bytes after the last block of model file: {path}")
 
-        fdict = dict(header["features"])
+        fdict = _header_section(header, "features", FeatureConfig, path)
         fdict["spectral_js"] = tuple(fdict["spectral_js"])
         feature_cfg = FeatureConfig(**fdict)
-        mdict = dict(header["model"])
+        mdict = _header_section(header, "model", ModelConfig, path)
         mdict["inventory"] = tuple(mdict["inventory"])
         cfg = ModelConfig(**mdict)
         stats = None
         if "featstats.mean" in blocks:
             stats = FeatureStats(blocks.pop("featstats.mean"), blocks.pop("featstats.std"))
         model = cls(cfg, feature_cfg, stats)
+        if set(blocks) != set(model.params.names()):
+            mismatched = sorted(set(blocks) ^ set(model.params.names()))
+            raise ValueError(f"parameter blocks do not match the model header "
+                             f"({', '.join(mismatched)}): {path}")
         model.params.set_values(blocks)
         return model
 
 
+def _header_section(header: dict, section: str, config_cls, path) -> dict:
+    """A copy of one config section of a model file header, with exactly the
+    keys config_cls defines; a missing or unknown key raises ValueError."""
+    values = header[section]
+    if not isinstance(values, dict):
+        raise ValueError(f"{section!r} header section is not an object: {path}")
+    expected = {f.name for f in fields(config_cls)}
+    unknown = sorted(set(values) - expected)
+    missing = sorted(expected - set(values))
+    if unknown:
+        raise ValueError(f"unknown {section} header key(s) {', '.join(unknown)}: {path}")
+    if missing:
+        raise ValueError(f"missing {section} header key(s) {', '.join(missing)}: {path}")
+    return dict(values)
+
+
 @dataclass
 class ScoreContext:
-    """Per-utterance cache: hidden states, unary scores, and hidden prefix sums.
+    """Per-utterance cache: hidden states, unary scores, and prefix sums.
 
     Immutable after construction; the tape it was built on is kept so that
     selected segmentation scores can be re-expressed for backpropagation.
@@ -197,6 +227,7 @@ class ScoreContext:
     hidden: Tensor   # T x 2H
     unary: Tensor    # T x 1
     prefix: Tensor   # (T+1) x 2H
+    q: Tensor        # (T+1) x H, prefix @ W1 of the bigram head
 
     @property
     def n_frames(self) -> int:
@@ -214,11 +245,16 @@ class ScoreContext:
     def prefix_np(self) -> np.ndarray:
         return self.prefix.value
 
+    @property
+    def q_np(self) -> np.ndarray:
+        return self.q.value
+
 
 def context_from_hidden(tape: Tape, model: SegmentalModel, hidden: Tensor) -> ScoreContext:
     unary = mlp2(tape, hidden, *model.head_unary)
     prefix = tape.prefix_sum(hidden)
-    return ScoreContext(tape=tape, hidden=hidden, unary=unary, prefix=prefix)
+    q = tape.matmul(prefix, model.head_bigram[0])
+    return ScoreContext(tape=tape, hidden=hidden, unary=unary, prefix=prefix, q=q)
 
 
 def build_context(model: SegmentalModel, features, tape: Tape | None = None) -> ScoreContext:
@@ -231,20 +267,39 @@ def build_context(model: SegmentalModel, features, tape: Tape | None = None) -> 
     return context_from_hidden(tape, model, hidden)
 
 
-def _span_inputs_np(ctx: ScoreContext, model: SegmentalModel,
-                    starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    vec = ctx.prefix_np[ends] - ctx.prefix_np[starts]
-    if model.cfg.mean_bigram:
-        vec = vec / (ends - starts)[:, None]
-    return vec
-
+# The numpy and tape bigram paths below perform the same float operations in
+# the same order, so an on-tape score equals its numpy twin bit for bit.
 
 def bigram_scores_np(ctx: ScoreContext, model: SegmentalModel,
                      starts, ends) -> np.ndarray:
-    """Batched gradient-free bigram head evaluation over (start, end) pairs."""
+    """Batched gradient-free bigram head evaluation over (start, end) pairs.
+
+    `ends` may be a scalar, which broadcasts over `starts` (one DP column).
+    """
     starts = np.asarray(starts, dtype=np.intp)
     ends = np.asarray(ends, dtype=np.intp)
-    return mlp2_np(_span_inputs_np(ctx, model, starts, ends), *model.head_bigram)[:, 0]
+    _, b1, w2, b2 = model.head_bigram
+    # in place on the one n x H buffer the gather allocates: a DP sweep calls
+    # this once per column, and fresh temporaries per op cost a third more time
+    x = ctx.q_np[starts]
+    np.subtract(ctx.q_np[ends], x, out=x)
+    if model.cfg.mean_bigram:
+        x *= (1.0 / (ends - starts))[:, None]
+    x += b1.value
+    np.tanh(x, out=x)
+    return (x @ w2.value + b2.value)[:, 0]
+
+
+def _bigram_scores_tape(ctx: ScoreContext, model: SegmentalModel,
+                        starts: np.ndarray, ends: np.ndarray) -> Tensor:
+    """On-tape twin of bigram_scores_np for index arrays; returns n x 1."""
+    tape = ctx.tape
+    _, b1, w2, b2 = model.head_bigram
+    x = tape.sub(tape.rows(ctx.q, ends), tape.rows(ctx.q, starts))
+    if model.cfg.mean_bigram:
+        inv = np.broadcast_to((1.0 / (ends - starts))[:, None], x.value.shape)
+        x = tape.mul(x, tape.tensor(inv.copy()))
+    return tape.affine(tape.tanh(tape.add(x, b1)), w2, b2)
 
 
 def bigram_score(ctx: ScoreContext, model: SegmentalModel, s: int, e: int,
@@ -254,11 +309,9 @@ def bigram_score(ctx: ScoreContext, model: SegmentalModel, s: int, e: int,
         raise ValueError(f"invalid span ({s}, {e}) for T={ctx.n_frames}")
     if not on_tape:
         return float(bigram_scores_np(ctx, model, [s], [e])[0])
-    tape = ctx.tape
-    vec = tape.sub(tape.rows(ctx.prefix, [e]), tape.rows(ctx.prefix, [s]))
-    if model.cfg.mean_bigram:
-        vec = tape.scale(vec, 1.0 / (e - s))
-    return tape.sum(mlp2(tape, vec, *model.head_bigram))
+    span = _bigram_scores_tape(ctx, model, np.array([s], dtype=np.intp),
+                               np.array([e], dtype=np.intp))
+    return ctx.tape.sum(span)
 
 
 def _scored_spans(seg: Segmentation, model: SegmentalModel):
@@ -295,11 +348,7 @@ def score_segmentation(ctx: ScoreContext, model: SegmentalModel, seg: Segmentati
     if spans:
         starts = np.array([s for s, _ in spans], dtype=np.intp)
         ends = np.array([e for _, e in spans], dtype=np.intp)
-        vec = tape.sub(tape.rows(ctx.prefix, ends), tape.rows(ctx.prefix, starts))
-        if model.cfg.mean_bigram:
-            inv = np.broadcast_to(1.0 / (ends - starts)[:, None], vec.value.shape)
-            vec = tape.mul(vec, tape.tensor(inv.copy()))
-        parts.append(tape.sum(mlp2(tape, vec, *model.head_bigram)))
+        parts.append(tape.sum(_bigram_scores_tape(ctx, model, starts, ends)))
     if not parts:
         return tape.scale(tape.tensor(np.zeros(())), 1.0)
     total = parts[0]

@@ -93,9 +93,5 @@ def mlp2(tape: Tape, x: Tensor, w1, b1, w2, b2) -> Tensor:
 
 
 def mlp2_np(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """Numpy twin of mlp2 for gradient-free batched scoring."""
+    """Numpy twin of mlp2: the unfactored reference for the bigram scoring path."""
     return np.tanh(x @ w1.value + b1.value) @ w2.value + b2.value
-
-
-def affine_np(x: np.ndarray, w, b) -> np.ndarray:
-    return x @ w.value + b.value

@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from segfeat.autodiff import Tape
 from segfeat.features import FeatureConfig
-from segfeat.model import ModelConfig, SegmentalModel, context_from_hidden
+from segfeat.model import MODEL_MAGIC, ModelConfig, SegmentalModel, context_from_hidden
 
 
 def small_model(input_dim=8, hidden=4, layers=2, seed=3, inventory=(), with_bin=False,
@@ -40,3 +43,14 @@ def toy_context(model, n_frames=2):
     tape = Tape()
     hidden = tape.tensor(np.tile([1.0, 0.0], (n_frames, 1)))
     return context_from_hidden(tape, model, hidden)
+
+
+def edit_model_header(src, dst, edit):
+    """Copy model file src to dst with edit(header_dict) applied to its header."""
+    data = src.read_bytes()
+    off = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack("<I", data[off:off + 4])
+    header = json.loads(data[off + 4:off + 4 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(MODEL_MAGIC + struct.pack("<I", len(blob)) + blob + data[off + 4 + hlen:])

@@ -8,6 +8,8 @@ from segfeat.features import read_features_bin, read_stats
 from segfeat.model import SegmentalModel
 from segfeat.train import read_epoch_logs
 
+from conftest import edit_model_header
+
 
 # ----- configuration --------------------------------------------------------
 
@@ -225,6 +227,34 @@ def test_segment_rate_mismatch(tmp_path, trained_dir):
     rc = main(["segment", "--model", str(trained_dir / "model_best.bin"),
                "--wav", str(wav), "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
+
+
+def _segment_with_model(tmp_path, corpus_dir, model_path):
+    wav = str(read_manifest(corpus_dir / "manifest.csv", 16000).entries[0].wav_path)
+    return main(["segment", "--model", str(model_path), "--wav", wav,
+                 "--out", str(tmp_path / "o")])
+
+
+def test_segment_rejects_trailing_bytes_in_model(tmp_path, corpus_dir, trained_dir, capsys):
+    bad = tmp_path / "junk.bin"
+    bad.write_bytes((trained_dir / "model_best.bin").read_bytes() + b"\x00")
+    assert _segment_with_model(tmp_path, corpus_dir, bad) == EXIT_DATA
+    assert "after the last block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, edit, key", [
+    ("model", lambda d: d.update(dropout=0.1), "dropout"),
+    ("model", lambda d: d.pop("hidden_size"), "hidden_size"),
+    ("features", lambda d: d.update(preemphasis=0.97), "preemphasis"),
+    ("features", lambda d: d.pop("n_mfcc"), "n_mfcc"),
+])
+def test_segment_rejects_bad_model_header_key(tmp_path, corpus_dir, trained_dir, capsys,
+                                              section, edit, key):
+    bad = tmp_path / "header.bin"
+    edit_model_header(trained_dir / "model_best.bin", bad, lambda h: edit(h[section]))
+    assert _segment_with_model(tmp_path, corpus_dir, bad) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert key in err and section in err
 
 
 def test_eval_perfect_predictions(tmp_path, corpus_dir, capsys):

@@ -1,8 +1,14 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k, dp_two_best
-from segfeat.model import Segmentation, score_segmentation
+from segfeat.model import Segmentation, bigram_scores_np, score_segmentation
+from segfeat.nn import mlp2_np
 
 from conftest import random_context, small_model, toy_context
 
@@ -114,7 +120,6 @@ def test_two_best_returns_distinct_top_pair():
         assert seg1 != seg2
         assert v1 >= v2
         # exhaustively rank all candidates and compare the top two
-        from itertools import combinations
         scored = sorted(
             ((score_segmentation(ctx, model, Segmentation(b, t_total)), b)
              for size in range(t_total)
@@ -150,3 +155,90 @@ def test_brute_force_single_frame_and_guard():
     big = random_context(model, 17, np.random.default_rng(10))
     with pytest.raises(ValueError):
         brute_force_segment(big, model)
+
+
+def test_uncapped_dp_memory_is_linear_in_frames():
+    """60 s of audio at a 10 ms shift, uncapped. A table of every span's
+    2H-wide input would hold T(T+1)/2 x 16 floats, 2.1 GiB here; scoring one
+    DP column at a time needs a few columns of T x H floats."""
+    model = small_model(hidden=8)
+    ctx = random_context(model, 6000, np.random.default_rng(14))
+    tracemalloc.start()
+    try:
+        seg, score = dp_segment(ctx, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+    assert seg.n_frames == 6000
+    assert score == score_segmentation(ctx, model, seg)
+
+
+# ----- properties against the exhaustive oracle ------------------------------
+# Hidden states are drawn from a seeded normal, so distinct segmentations tie
+# with probability zero and the oracle's tie-break never decides a comparison.
+
+MODEL_FLAGS = st.fixed_dictionaries({"include_end_spans": st.booleans(),
+                                     "mean_bigram": st.booleans(),
+                                     "shared_head": st.booleans()})
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _instance(flags, t_total, seed):
+    model = small_model(seed=seed % 1000, **flags)
+    return model, random_context(model, t_total, np.random.default_rng(seed))
+
+
+def _ranked(ctx, model, cap=None):
+    """Every segmentation whose spans fit the cap, best first, by canonical score."""
+    t_total = ctx.n_frames
+    out = []
+    for size in range(t_total):
+        for bounds in combinations(range(1, t_total), size):
+            seg = Segmentation(bounds, t_total)
+            if cap is None or all(e - s <= cap for s, e in seg.spans()):
+                out.append((score_segmentation(ctx, model, seg), bounds))
+    return sorted(out, key=lambda x: (-x[0], x[1]))
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       cap=st.one_of(st.none(), st.integers(1, 9)))
+def test_property_dp_segment_and_two_best_match_exhaustive_ranking(flags, t_total, seed, cap):
+    model, ctx = _instance(flags, t_total, seed)
+    ranked = _ranked(ctx, model, cap)
+    seg, score = dp_segment(ctx, model, cap)
+    assert (score, seg.boundaries) == ranked[0]
+    two = dp_two_best(ctx, model, cap)
+    assert [(v, s.boundaries) for s, v in two] == ranked[:2]
+    if cap is None:
+        assert (seg, score) == brute_force_segment(ctx, model)
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_property_dp_segment_k_matches_brute_force_for_every_k(flags, t_total, seed):
+    model, ctx = _instance(flags, t_total, seed)
+    for k in range(1, t_total + 1):
+        seg, score = dp_segment_k(ctx, model, k)
+        assert seg.n_segments == k
+        assert (seg, score) == brute_force_segment(ctx, model, k)
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_property_projected_scores_match_unfactored_reference(flags, t_total, seed, data):
+    model, ctx = _instance(flags, t_total, seed)
+    bounds = data.draw(st.sets(st.integers(1, t_total - 1)) if t_total > 1 else st.just(set()))
+    seg = Segmentation(sorted(bounds), t_total)
+    assert score_segmentation(ctx, model, seg, on_tape=True).item() == \
+        score_segmentation(ctx, model, seg)
+
+    starts, ends = np.triu_indices(t_total + 1, k=1)
+    x = ctx.prefix_np[ends] - ctx.prefix_np[starts]
+    if model.cfg.mean_bigram:
+        x = x / (ends - starts)[:, None]
+    want = mlp2_np(x, *model.head_bigram)[:, 0]
+    # the factored route reorders float64 sums of magnitude ~10: about 1e-14 apart
+    assert np.max(np.abs(bigram_scores_np(ctx, model, starts, ends) - want)) <= 1e-12

@@ -3,11 +3,11 @@ import pytest
 
 from segfeat.autodiff import Tape
 from segfeat.features import FeatureStats
-from segfeat.model import (SegmentalModel, Segmentation, bigram_score,
+from segfeat.model import (MODEL_MAGIC, SegmentalModel, Segmentation, bigram_score,
                            boundary_logits, build_context, context_from_hidden,
                            phoneme_logits, score_segmentation)
 
-from conftest import random_context, small_model, toy_context
+from conftest import edit_model_header, random_context, small_model, toy_context
 
 
 def test_segmentation_invariants():
@@ -246,6 +246,29 @@ def test_model_load_rejects_garbage(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"not a model at all")
     with pytest.raises(ValueError):
+        SegmentalModel.load(path)
+
+
+def _rename_first_param(header):
+    header["params"][0]["name"] = "enc.l9.f.wx"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: header.pop("params"), "lacks 'params'"),
+    (_rename_first_param, "enc.l0.f.wx, enc.l9.f.wx"),
+])
+def test_model_load_rejects_malformed_header(tmp_path, edit, message):
+    path = tmp_path / "m.bin"
+    small_model().save(path)
+    edit_model_header(path, path, edit)
+    with pytest.raises(ValueError, match=message):
+        SegmentalModel.load(path)
+
+
+def test_model_load_rejects_missing_header_length(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(MODEL_MAGIC + b"\x01")
+    with pytest.raises(ValueError, match="truncated"):
         SegmentalModel.load(path)
 
 
