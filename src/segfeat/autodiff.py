@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# When enabled, every op output is checked for NaN/inf (slow; test aid).
-DEBUG_FINITE = False
-
-
 class Tensor:
     """Array value plus a same-shaped gradient accumulator."""
 
@@ -51,10 +47,7 @@ class Tape:
     def _make(self, value) -> Tensor:
         if self._used:
             raise RuntimeError("tape already consumed by backward(); use a fresh Tape")
-        out = Tensor(value)
-        if DEBUG_FINITE and not np.all(np.isfinite(out.value)):
-            raise FloatingPointError("non-finite value produced on tape")
-        return out
+        return Tensor(value)
 
     def _record(self, back_fn):
         self._nodes.append(back_fn)
@@ -183,17 +176,6 @@ class Tape:
         self._record(back)
         return out
 
-    def sigmoid(self, a: Tensor) -> Tensor:
-        v = _sigmoid(a.value)
-        out = self._make(v)
-
-        def back():
-            if out.grad is not None:
-                _acc(a, out.grad * v * (1.0 - v))
-
-        self._record(back)
-        return out
-
     def tanh(self, a: Tensor) -> Tensor:
         v = np.tanh(a.value)
         out = self._make(v)
@@ -236,19 +218,6 @@ class Tape:
                 return
             g = np.zeros_like(a.value)
             np.add.at(g, idx, out.grad)
-            _acc(a, g)
-
-        self._record(back)
-        return out
-
-    def slice_cols(self, a: Tensor, j0: int, j1: int) -> Tensor:
-        out = self._make(a.value[:, j0:j1])
-
-        def back():
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.value)
-            g[:, j0:j1] = out.grad
             _acc(a, g)
 
         self._record(back)

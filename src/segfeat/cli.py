@@ -12,9 +12,9 @@ from pathlib import Path
 
 from .audio import MalformedWavError, UnsupportedCodecError, read_wav
 from .config import ConfigError, load_run_config
-from .data import (LabeledUtterance, SynthConfig, load_corpus, read_boundaries_csv,
-                   read_manifest, split_nonspeech, split_train_val, synth_corpus,
-                   write_boundaries_csv, write_synth_corpus, write_textgrid)
+from .data import (LabeledUtterance, SynthConfig, load_corpus, read_annotation,
+                   read_boundaries_csv, read_manifest, split_nonspeech, split_train_val,
+                   synth_corpus, write_boundaries_csv, write_synth_corpus, write_textgrid)
 from .decode import dp_segment, dp_segment_k
 from .features import (apply_stats, assemble_features, corpus_stats, write_features_bin,
                        write_features_csv, write_stats)
@@ -220,16 +220,12 @@ def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     preds = {}
     refs = {}
-    from .data import read_ann_csv, read_phn
     for entry in entries:
         pred_path = pred_dir / f"{entry.key}.csv"
         if not pred_path.exists():
             raise ValueError(f"missing prediction file for utterance {entry.key!r}: {pred_path}")
         preds[entry.key] = read_boundaries_csv(pred_path)
-        if manifest.annotation_unit == "seconds" or entry.ann_path.suffix.lower() == ".csv":
-            ann = read_ann_csv(entry.ann_path, manifest.sample_rate)
-        else:
-            ann = read_phn(entry.ann_path)
+        ann = read_annotation(entry.ann_path, manifest)
         refs[entry.key] = [start / manifest.sample_rate for start, _, _ in ann.segments[1:]]
 
     report = evaluate_times(preds, refs, TolerancePolicy(tolerance))

@@ -176,16 +176,21 @@ def boundaries_from_annotation(ann: Annotation, shift_samples: int, n_frames: in
     return tuple(bounds), tuple(symbols)
 
 
+def read_annotation(path: Path, manifest: CorpusManifest) -> Annotation:
+    """A manifest entry's annotation: seconds-based CSV when the manifest's unit
+    is seconds or the file ends in .csv, else a sample-based .phn file."""
+    if manifest.annotation_unit == "seconds" or path.suffix.lower() == ".csv":
+        return read_ann_csv(path, manifest.sample_rate)
+    return read_phn(path)
+
+
 def load_utterance(entry: ManifestEntry, cfg: FeatureConfig, manifest: CorpusManifest,
                    stats: FeatureStats | None = None) -> LabeledUtterance:
     wav = read_wav(entry.wav_path)
     if wav.sample_rate != manifest.sample_rate:
         raise ValueError(f"{entry.wav_path}: sample rate {wav.sample_rate} does not "
                          f"match corpus rate {manifest.sample_rate}")
-    if manifest.annotation_unit == "seconds" or entry.ann_path.suffix.lower() == ".csv":
-        ann = read_ann_csv(entry.ann_path, manifest.sample_rate)
-    else:
-        ann = read_phn(entry.ann_path)
+    ann = read_annotation(entry.ann_path, manifest)
     feats = assemble_features(wav, cfg, stats)
     bounds, symbols = boundaries_from_annotation(
         ann, cfg.shift_samples(wav.sample_rate), feats.n_frames)

@@ -2,7 +2,15 @@
 
 best[t] is the best score of segmenting frames [0, t); a segment (s, t)
 contributes its bigram score plus, when t is interior, the unary score of
-the boundary it creates at t. Ties break toward the smaller predecessor.
+the boundary it creates at t.
+
+One column sweep keeps the best and the runner-up score of every prefix and
+serves both validation and `segment` (dp_segment, the argmax) and the
+structured hinge (dp_two_best, the argmax and the exact runner-up). Equal
+candidates in a column break toward the better-ranked prefix, then the
+smaller segment start; so among tied segmentations the argmax is the one
+whose boundaries, read from the last, are smallest. dp_segment_k keeps its
+own sweep, whose rows are segment counts, with the smaller-start rule.
 """
 
 from __future__ import annotations
@@ -32,15 +40,47 @@ def _span_column(ctx: ScoreContext, model: SegmentalModel, smin: int, t: int) ->
     return vals
 
 
-def _reconstruct(backptr, t_total: int) -> Segmentation:
-    bounds = []
-    t = t_total
-    while t > 0:
-        s = backptr[t]
-        if s > 0:
-            bounds.append(s)
-        t = s
-    return Segmentation(tuple(reversed(bounds)), t_total)
+def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
+                       max_seg_frames: int | None, ranks: int):
+    """The `ranks` best distinct segmentations (1 or 2) by one column sweep.
+
+    best[r, t] is the (r+1)-th best score of frames [0, t). Column t ranks
+    the candidates best[r, s] + (span(s, t) + u[t]) over (r, s) flattened
+    rank-major, so ties go to row 0 first, then to the smaller start.
+    Returns (Segmentation, canonical score) pairs for the finite ranks.
+    """
+    t_total = ctx.n_frames
+    max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
+    u = ctx.unary_np
+
+    best = np.full((ranks, t_total + 1), NEG_INF)
+    best[0, 0] = 0.0
+    back = [[(0, 0)] * (t_total + 1) for _ in range(ranks)]  # (start, rank)
+    for t in range(1, t_total + 1):
+        smin = max(0, t - max_len)
+        e = _span_column(ctx, model, smin, t)
+        if t < t_total:
+            e = e + u[t]
+        flat = (best[:, smin:t] + e).ravel()
+        for r in range(ranks):
+            i = int(flat.argmax())  # first occurrence
+            best[r, t] = flat[i]
+            rank, j = divmod(i, t - smin)
+            back[r][t] = (smin + j, rank)
+            if r + 1 < ranks:
+                flat[i] = NEG_INF
+
+    out = []
+    for top in range(ranks):
+        if not np.isfinite(best[top, t_total]):
+            break
+        starts, t, r = [], t_total, top
+        while t > 0:
+            t, r = back[r][t]
+            starts.append(t)
+        seg = Segmentation(tuple(reversed(starts[:-1])), t_total)  # the last start is 0
+        out.append((seg, score_segmentation(ctx, model, seg)))
+    return out
 
 
 def dp_segment(ctx: ScoreContext, model: SegmentalModel,
@@ -52,23 +92,7 @@ def dp_segment(ctx: ScoreContext, model: SegmentalModel,
     canonical score of the returned segmentation, so it is bit-identical to
     score_segmentation on the result.
     """
-    t_total = ctx.n_frames
-    max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
-    u = ctx.unary_np
-
-    best = np.full(t_total + 1, NEG_INF)
-    best[0] = 0.0
-    backptr = np.zeros(t_total + 1, dtype=np.intp)
-    for t in range(1, t_total + 1):
-        smin = max(0, t - max_len)
-        vals = best[smin:t] + _span_column(ctx, model, smin, t)
-        if t < t_total:
-            vals = vals + u[t]
-        j = int(np.argmax(vals))  # first occurrence: smallest predecessor wins ties
-        best[t] = vals[j]
-        backptr[t] = smin + j
-    seg = _reconstruct(backptr, t_total)
-    return seg, score_segmentation(ctx, model, seg)
+    return _top_segmentations(ctx, model, max_seg_frames, 1)[0]
 
 
 def dp_segment_k(ctx: ScoreContext, model: SegmentalModel, k: int):
@@ -112,52 +136,7 @@ def dp_two_best(ctx: ScoreContext, model: SegmentalModel,
     is exact, which lets hinge training pick the best competitor when the
     argmax coincides with the gold segmentation.
     """
-    t_total = ctx.n_frames
-    max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
-    u = ctx.unary_np
-
-    best1 = np.full(t_total + 1, NEG_INF)
-    best2 = np.full(t_total + 1, NEG_INF)
-    best1[0] = 0.0
-    bp1 = [(0, 1)] * (t_total + 1)
-    bp2 = [(0, 1)] * (t_total + 1)
-    for t in range(1, t_total + 1):
-        smin = max(0, t - max_len)
-        e = _span_column(ctx, model, smin, t)
-        if t < t_total:
-            e = e + u[t]
-        c1 = best1[smin:t] + e
-        c2 = best2[smin:t] + e
-        j1 = int(np.argmax(c1))
-        best1[t] = c1[j1]
-        bp1[t] = (smin + j1, 1)
-        # runner-up: best alternative predecessor, or the runner-up through j1
-        c1m = c1.copy()
-        c1m[j1] = NEG_INF
-        j1b = int(np.argmax(c1m))
-        if c1m[j1b] >= c2[j1]:
-            best2[t] = c1m[j1b]
-            bp2[t] = (smin + j1b, 1)
-        else:
-            best2[t] = c2[j1]
-            bp2[t] = (smin + j1, 2)
-
-    def walk(rank):
-        bounds = []
-        t, r = t_total, rank
-        while t > 0:
-            s, pr = bp1[t] if r == 1 else bp2[t]
-            if s > 0:
-                bounds.append(s)
-            t, r = s, pr
-        return Segmentation(tuple(reversed(bounds)), t_total)
-
-    first = walk(1)
-    out = [(first, score_segmentation(ctx, model, first))]
-    if np.isfinite(best2[t_total]):
-        second = walk(2)
-        out.append((second, score_segmentation(ctx, model, second)))
-    return out
+    return _top_segmentations(ctx, model, max_seg_frames, 2)
 
 
 def brute_force_segment(ctx: ScoreContext, model: SegmentalModel,

@@ -171,22 +171,17 @@ class SegmentalModel:
                 if key not in header:
                     raise ValueError(f"model file header lacks {key!r}: {path}")
             blocks = {}
-            for entry in header["params"]:
-                shape = tuple(entry["shape"])
+            for name, shape in _param_entries(header, path):
                 count = int(np.prod(shape)) if shape else 1
                 raw = f.read(8 * count)
                 if len(raw) != 8 * count:
                     raise ValueError(f"truncated model file: {path}")
-                blocks[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if f.read(1):
                 raise ValueError(f"unexpected bytes after the last block of model file: {path}")
 
-        fdict = _header_section(header, "features", FeatureConfig, path)
-        fdict["spectral_js"] = tuple(fdict["spectral_js"])
-        feature_cfg = FeatureConfig(**fdict)
-        mdict = _header_section(header, "model", ModelConfig, path)
-        mdict["inventory"] = tuple(mdict["inventory"])
-        cfg = ModelConfig(**mdict)
+        feature_cfg = FeatureConfig(**_header_section(header, "features", FeatureConfig, path))
+        cfg = ModelConfig(**_header_section(header, "model", ModelConfig, path))
         stats = None
         if "featstats.mean" in blocks:
             stats = FeatureStats(blocks.pop("featstats.mean"), blocks.pop("featstats.std"))
@@ -199,9 +194,40 @@ class SegmentalModel:
         return model
 
 
+def _param_entries(header: dict, path):
+    """(name, shape) of every params header entry; a malformed one raises ValueError."""
+    entries = header["params"]
+    if not isinstance(entries, list):
+        raise ValueError(f"'params' header section is not a list: {path}")
+    out = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"params entry {i} is not an object: {path}")
+        name, shape = entry.get("name"), entry.get("shape")
+        if not isinstance(name, str):
+            raise ValueError(f"params entry {i} lacks a string 'name': {path}")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"params entry {i} lacks a 'shape' of sizes: {path}")
+        out.append((name, tuple(shape)))
+    return out
+
+
+def _header_value_ok(value, default) -> bool:
+    """Whether a JSON header value fits a config field with this default: a
+    bool for a bool, a list for a tuple, an int for an int (or null where the
+    default is None), any number for a float."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, list)
+    if default is None and value is None:
+        return True
+    return isinstance(value, (int, float) if isinstance(default, float) else int)
+
+
 def _header_section(header: dict, section: str, config_cls, path) -> dict:
     """A copy of one config section of a model file header, with exactly the
-    keys config_cls defines; a missing or unknown key raises ValueError."""
+    keys config_cls defines; a missing, unknown or mistyped key raises ValueError."""
     values = header[section]
     if not isinstance(values, dict):
         raise ValueError(f"{section!r} header section is not an object: {path}")
@@ -212,6 +238,11 @@ def _header_section(header: dict, section: str, config_cls, path) -> dict:
         raise ValueError(f"unknown {section} header key(s) {', '.join(unknown)}: {path}")
     if missing:
         raise ValueError(f"missing {section} header key(s) {', '.join(missing)}: {path}")
+    mistyped = sorted(f.name for f in fields(config_cls)
+                      if not _header_value_ok(values[f.name], f.default))
+    if mistyped:
+        raise ValueError(f"{section} header key(s) {', '.join(mistyped)} "
+                         f"of the wrong type: {path}")
     return dict(values)
 
 

@@ -103,19 +103,16 @@ def _primitive_cases(rng):
     case("add_bias", {"a": (3, 2), "b": (1, 2)},
          lambda t, p: t.sum(t.tanh(t.add(p["a"], p["b"]))))
     case("sub", {"a": (2, 3), "b": (2, 3)},
-         lambda t, p: t.sum(t.sigmoid(t.sub(p["a"], p["b"]))))
+         lambda t, p: t.sum(t.tanh(t.sub(p["a"], p["b"]))))
     case("mul", {"a": (2, 3), "b": (2, 3)},
          lambda t, p: t.sum(t.mul(p["a"], p["b"])))
     case("scale", {"a": (2, 3)}, lambda t, p: t.sum(t.scale(p["a"], -2.5)))
     case("add_const", {"a": (2, 3)},
          lambda t, p: t.sum(t.tanh(t.add_const(p["a"], 0.7))))
-    case("sigmoid", {"a": (3, 3)}, lambda t, p: t.sum(t.sigmoid(p["a"])))
     case("tanh", {"a": (3, 3)}, lambda t, p: t.sum(t.tanh(p["a"])))
     case("relu", {"a": (3, 3)}, lambda t, p: t.sum(t.relu(p["a"])))
     case("rows", {"a": (5, 3)},
          lambda t, p: t.sum(t.tanh(t.rows(p["a"], [0, 2, 2, 4]))))
-    case("slice_cols", {"a": (4, 6)},
-         lambda t, p: t.sum(t.tanh(t.slice_cols(p["a"], 1, 4))))
     case("hstack", {"a": (3, 2), "b": (3, 4)},
          lambda t, p: t.sum(t.tanh(t.hstack(p["a"], p["b"]))))
     case("vstack", {"a": (1, 3), "b": (1, 3), "c": (1, 3)},

@@ -247,6 +247,14 @@ def test_segment_rejects_trailing_bytes_in_model(tmp_path, corpus_dir, trained_d
     ("model", lambda d: d.pop("hidden_size"), "hidden_size"),
     ("features", lambda d: d.update(preemphasis=0.97), "preemphasis"),
     ("features", lambda d: d.pop("n_mfcc"), "n_mfcc"),
+    pytest.param("model", lambda d: d.update(hidden_size="abc"), "hidden_size",
+                 id="model-hidden_size-type"),
+    pytest.param("model", lambda d: d.update(inventory=3), "inventory",
+                 id="model-inventory-type"),
+    pytest.param("features", lambda d: d.update(spectral_js=3), "spectral_js",
+                 id="features-spectral_js-type"),
+    pytest.param("params", lambda d: d[0].pop("shape"), "shape", id="params-no-shape"),
+    pytest.param("params", lambda d: d[0].pop("name"), "name", id="params-no-name"),
 ])
 def test_segment_rejects_bad_model_header_key(tmp_path, corpus_dir, trained_dir, capsys,
                                               section, edit, key):
@@ -292,6 +300,31 @@ def test_eval_zero_tolerance_misses_offset(tmp_path, corpus_dir, capsys):
     csv_line = out[-1]
     hits = int(csv_line.split(",")[5])
     assert hits == 0 and total > 0
+
+
+def test_eval_reads_seconds_csv_annotations(tmp_path, corpus_dir, capsys):
+    # references moved 50 ms later than the .phn files, beyond the 20 ms
+    # tolerance, so a perfect score shows that eval read the .csv files
+    manifest = read_manifest(corpus_dir / "manifest.csv", 16000)
+    pred = tmp_path / "predcsv"
+    pred.mkdir()
+    from segfeat.data import read_phn, write_boundaries_csv, write_manifest
+    rows, n_ref = [], 0
+    for entry in manifest.entries:
+        segments = read_phn(entry.ann_path).segments
+        ann = tmp_path / f"{entry.key}.csv"
+        ann.write_text("".join(f"{s / 16000 + 0.05},{e / 16000 + 0.05},{sym}\n"
+                               for s, e, sym in segments), encoding="ascii")
+        times = [round((s / 16000 + 0.05) * 16000) / 16000 for s, _, _ in segments[1:]]
+        n_ref += len(times)
+        write_boundaries_csv(pred / f"{entry.key}.csv", times)
+        rows.append((str(entry.wav_path), ann.name, entry.split))
+    write_manifest(tmp_path / "manifest.csv", rows)
+    rc = main(["eval", "--pred", str(pred), "--manifest", str(tmp_path / "manifest.csv")])
+    assert rc == EXIT_OK
+    csv_line = capsys.readouterr().out.splitlines()[-1]
+    assert csv_line.startswith("100.0000,100.0000")
+    assert csv_line.endswith(f",{n_ref},{n_ref},{n_ref}") and n_ref > 0
 
 
 def test_eval_missing_prediction(tmp_path, corpus_dir):

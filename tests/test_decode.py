@@ -146,6 +146,43 @@ def test_two_best_respects_cap():
     assert two[0][0] == Segmentation((1,), 2)
 
 
+@pytest.mark.parametrize("include_end_spans", [True, False])
+@pytest.mark.parametrize("mean_bigram", [True, False])
+def test_all_tied_scores_break_toward_the_smallest_boundaries(include_end_spans, mean_bigram):
+    """With every parameter zero, every segmentation scores 0. The random
+    properties below never tie, so this test and the next guard the tie rule."""
+    model = small_model(include_end_spans=include_end_spans, mean_bigram=mean_bigram)
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    t_total = 6
+    ctx = random_context(model, t_total, np.random.default_rng(5))
+    seg, score = dp_segment(ctx, model)
+    assert (seg.boundaries, score) == ((), 0.0)
+    assert (seg, score) == brute_force_segment(ctx, model)
+    two = dp_two_best(ctx, model)
+    assert [s.boundaries for s, _ in two] == [(), (1,)]
+    assert [(v, s.boundaries) for s, v in two] == _ranked(ctx, model)[:2]
+    for k in range(1, t_total + 1):
+        seg, score = dp_segment_k(ctx, model, k)
+        assert seg.boundaries == tuple(range(1, k))
+        assert (seg, score) == brute_force_segment(ctx, model, k)
+
+
+def test_two_best_tie_prefers_the_better_ranked_prefix():
+    """Unary -1 at every boundary, no bigram score, cap 2: three runner-ups
+    tie at -2. The last column ranks best[0, s] before best[1, s], so the
+    runner-up extends the best split of [0, 3), (1,), not the runner-up
+    split of [0, 2), which would give the tied (1, 2)."""
+    model = small_model()
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    ctx = random_context(model, 4, np.random.default_rng(5))
+    ctx.unary.value[:] = -1.0
+    two = dp_two_best(ctx, model, 2)
+    assert [(s.boundaries, v) for s, v in two] == [((2,), -1.0), ((1, 3), -2.0)]
+    assert [v for _, v in two] == [v for v, _ in _ranked(ctx, model, 2)[:2]]
+
+
 def test_brute_force_single_frame_and_guard():
     model = small_model()
     ctx = random_context(model, 1, np.random.default_rng(9))

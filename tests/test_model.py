@@ -256,6 +256,16 @@ def _rename_first_param(header):
 @pytest.mark.parametrize("edit, message", [
     (lambda header: header.pop("params"), "lacks 'params'"),
     (_rename_first_param, "enc.l0.f.wx, enc.l9.f.wx"),
+    pytest.param(lambda header: header.update(params=5), "'params' .* not a list",
+                 id="params-not-a-list"),
+    pytest.param(lambda header: header["params"].__setitem__(0, 5), "params entry 0",
+                 id="params-entry-not-an-object"),
+    pytest.param(lambda header: header["params"][0].update(shape=[-1, 2]), "'shape'",
+                 id="params-negative-size"),
+    pytest.param(lambda header: header["model"].update(with_bin=1), "with_bin",
+                 id="model-int-for-bool"),
+    pytest.param(lambda header: header["features"].update(n_fft=512.0), "n_fft",
+                 id="features-float-for-int"),
 ])
 def test_model_load_rejects_malformed_header(tmp_path, edit, message):
     path = tmp_path / "m.bin"
