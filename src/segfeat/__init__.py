@@ -15,7 +15,7 @@ from .metrics import (EvalReport, TolerancePolicy, evaluate_corpus, evaluate_tim
                       match_boundaries, precision_recall_f1, r_value)
 from .model import (ModelConfig, ScoreContext, SegmentalModel, Segmentation, bigram_score,
                     boundary_logits, build_context, phoneme_logits, score_segmentation)
-from .nn import bilstm_encode, lstm_step
+from .nn import bilstm_encode
 from .optim import AdamState, adam_step, clip_grad_norm
 from .train import EpochLog, FitResult, TrainConfig, fit, validate_model
 

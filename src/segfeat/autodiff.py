@@ -237,23 +237,6 @@ class Tape:
         self._record(back)
         return out
 
-    def vstack(self, parts) -> Tensor:
-        parts = list(parts)
-        out = self._make(np.vstack([p.value for p in parts]))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            r = 0
-            for p in parts:
-                n = p.value.shape[0]
-                _acc(p, g[r:r + n])
-                r += n
-
-        self._record(back)
-        return out
-
     def prefix_sum(self, a: Tensor) -> Tensor:
         """(T+1) x n prefix sums with a zero first row; out[t+1]-out[t] == a[t]."""
         v = np.vstack([np.zeros((1, a.value.shape[1])), np.cumsum(a.value, axis=0)])
@@ -269,44 +252,84 @@ class Tape:
         self._record(back)
         return out
 
-    def lstm_gates(self, pre: Tensor, c_prev: Tensor):
-        """Gate math of one LSTM step from the stacked preactivation.
+    def lstm(self, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+             reverse: bool = False) -> Tensor:
+        """One LSTM direction over a T x in_dim sequence; returns T x H states.
 
-        pre is 1x4H laid out [input | forget | candidate | output]; returns
-        (h, c). Recorded as a single node with a hand-derived backward.
+        Gates are laid out [input | forget | candidate | output] in wx, wh
+        and b. The input projection x @ wx + b is batched over all frames;
+        the recurrence pays one 1 x H @ H x 4H product per step. The whole
+        scan is a single node whose backward is hand-written BPTT, with the
+        float operations in the order of a per-frame cell, so the results do
+        not depend on how the recurrence is recorded.
         """
-        hdim = c_prev.value.shape[1]
-        if pre.value.shape != (1, 4 * hdim):
-            raise ValueError(f"preactivation must be 1x{4 * hdim}, got {pre.value.shape}")
-        p = pre.value
-        i = _sigmoid(p[:, :hdim])
-        f = _sigmoid(p[:, hdim:2 * hdim])
-        g = np.tanh(p[:, 2 * hdim:3 * hdim])
-        o = _sigmoid(p[:, 3 * hdim:])
-        c = f * c_prev.value + i * g
-        tc = np.tanh(c)
-        h_out = self._make(o * tc)
-        c_out = self._make(c)
+        xv, wxv, whv = x.value, wx.value, wh.value
+        hdim = whv.shape[0]
+        if whv.shape != (hdim, 4 * hdim):
+            raise ValueError(f"lstm wh must be H x 4H, got {whv.shape}")
+        if xv.ndim != 2 or wxv.shape != (xv.shape[1], 4 * hdim):
+            raise ValueError(f"lstm shape mismatch: {xv.shape} @ {wxv.shape} for H={hdim}")
+        if b.value.shape != (1, 4 * hdim):
+            raise ValueError(f"lstm bias must be 1x{4 * hdim}, got {b.value.shape}")
+        xpre = xv @ wxv + b.value  # T x 4H, as affine computes it
+        tsteps = xpre.shape[0]
+        order = range(tsteps - 1, -1, -1) if reverse else range(tsteps)
+        hs = np.empty((tsteps, hdim))
+        gates = np.empty((tsteps, 4 * hdim))  # sigmoid row, candidate slot holds tanh
+        c_prev = np.empty((tsteps, hdim))
+        h_prev = np.empty((tsteps, hdim))
+        tcs = np.empty((tsteps, hdim))
+        h = np.zeros((1, hdim))
+        c = np.zeros((1, hdim))
+        for t in order:
+            p = xpre[t:t + 1] + h @ whv
+            s = _sigmoid(p)
+            g = np.tanh(p[:, 2 * hdim:3 * hdim])
+            s[:, 2 * hdim:3 * hdim] = g
+            c_prev[t] = c
+            h_prev[t] = h
+            c = s[:, hdim:2 * hdim] * c + s[:, :hdim] * g
+            tc = np.tanh(c)
+            h = s[:, 3 * hdim:] * tc
+            gates[t] = s
+            tcs[t] = tc
+            hs[t] = h
+        out = self._make(hs)
 
         def back():
-            gh = h_out.grad
-            gc_ext = c_out.grad
-            if gh is None and gc_ext is None:
+            dout = out.grad
+            if dout is None:
                 return
-            gc = gc_ext.copy() if gc_ext is not None else np.zeros_like(c)
-            if gh is not None:
-                gc += gh * o * (1.0 - tc * tc)
-            gpre = np.empty_like(p)
-            gpre[:, :hdim] = gc * g * i * (1.0 - i)
-            gpre[:, hdim:2 * hdim] = gc * c_prev.value * f * (1.0 - f)
-            gpre[:, 2 * hdim:3 * hdim] = gc * i * (1.0 - g * g)
-            go = gh * tc if gh is not None else np.zeros_like(o)
-            gpre[:, 3 * hdim:] = go * o * (1.0 - o)
-            _acc(pre, gpre)
-            _acc(c_prev, gc * f)
+            i, f, g, o = (gates[:, k * hdim:(k + 1) * hdim] for k in range(4))
+            # per-gate preactivation grads as ((X * m1) * m2) * m3 with
+            # X = [gc | gc | gc | gh], the factor order of the cell's derivatives
+            m1 = np.hstack([g, c_prev, i, tcs])
+            m2 = np.hstack([i, f, np.ones_like(g), o])
+            m3 = np.hstack([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o])
+            dtc = 1.0 - tcs * tcs
+            whT = whv.T
+            gxpre = np.zeros_like(xpre)
+            gx = np.empty((4, hdim))
+            gwh = np.empty_like(whv)
+            gc = np.zeros((1, hdim))
+            gpre = None  # the scan's last frame feeds no later step
+            for t in reversed(order):
+                gh = dout[t:t + 1] if gpre is None else dout[t:t + 1] + gpre @ whT
+                gc = gc + gh * o[t] * dtc[t]
+                gx[:3] = gc
+                gx[3] = gh
+                gpre = (gx.reshape(1, -1) * m1[t]) * m2[t] * m3[t]
+                gxpre[t:t + 1] += gpre
+                # one outer product per step, in step order: a batched
+                # h_prev.T @ G would sum in another order
+                _acc(wh, np.multiply(h_prev[t:t + 1].T, gpre, out=gwh))
+                gc = gc * f[t]
+            _acc(x, gxpre @ wxv.T)
+            _acc(wx, xv.T @ gxpre)
+            _acc(b, gxpre.sum(axis=0, keepdims=True))
 
         self._record(back)
-        return h_out, c_out
+        return out
 
     def softmax_nll(self, logits: Tensor, labels) -> Tensor:
         """Mean over rows of -log softmax(logits)[label]."""

@@ -143,7 +143,8 @@ def brute_force_segment(ctx: ScoreContext, model: SegmentalModel,
                         k: int | None = None):
     """Exhaustive oracle: score every boundary subset via score_segmentation.
 
-    Ties break toward the lexicographically smallest boundary list. Only
+    Ties break as in the DP: toward the boundaries that, read from the last,
+    are smallest, a shorter list first where one is a tail of the other. Only
     usable for short utterances (2^(T-1) candidates).
     """
     t_total = ctx.n_frames
@@ -158,8 +159,8 @@ def brute_force_segment(ctx: ScoreContext, model: SegmentalModel,
         for bounds in combinations(range(1, t_total), size):
             seg = Segmentation(bounds, t_total)
             score = score_segmentation(ctx, model, seg)
-            if score > best_score or (score == best_score and
-                                      (best_bounds is None or bounds < best_bounds)):
+            if score > best_score or (score == best_score and (
+                    best_bounds is None or bounds[::-1] < best_bounds[::-1])):
                 best_score = score
                 best_bounds = bounds
     return Segmentation(best_bounds, t_total), float(best_score)

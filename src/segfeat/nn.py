@@ -17,10 +17,6 @@ class LstmParams:
     wh: Tensor  # H x 4H
     b: Tensor   # 1 x 4H
 
-    @property
-    def hidden(self) -> int:
-        return self.wh.value.shape[0]
-
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     r = 1.0 / np.sqrt(fan_in)
@@ -44,46 +40,18 @@ def init_affine(params: ParameterSet, prefix: str, in_dim: int, out_dim: int,
     return w, b
 
 
-def lstm_step(tape: Tape, x_t: Tensor, state, lp: LstmParams):
-    """One LSTM cell update; x_t is 1 x in_dim, state is (h, c) each 1 x H."""
-    h, c = state
-    pre = tape.add(tape.affine(x_t, lp.wx, lp.b), tape.matmul(h, lp.wh))
-    return tape.lstm_gates(pre, c)
-
-
-def lstm_run(tape: Tape, x: Tensor, lp: LstmParams, reverse: bool = False):
-    """Run one direction over a T x in_dim sequence; returns h tensors by frame.
-
-    The input projection x @ wx + b is batched over all frames up front; the
-    recurrence then only pays one small matmul per step.
-    """
-    tsteps = x.value.shape[0]
-    hidden = lp.hidden
-    xpre = tape.affine(x, lp.wx, lp.b)  # T x 4H
-    h = tape.tensor(np.zeros((1, hidden)))
-    c = tape.tensor(np.zeros((1, hidden)))
-    hs = [None] * tsteps
-    order = range(tsteps - 1, -1, -1) if reverse else range(tsteps)
-    for t in order:
-        pre = tape.add(tape.rows(xpre, [t]), tape.matmul(h, lp.wh))
-        h, c = tape.lstm_gates(pre, c)
-        hs[t] = h
-    return hs
-
-
 def bilstm_encode(tape: Tape, x: Tensor, layers) -> Tensor:
     """Stacked bidirectional LSTM; layers is a list of (forward, backward) params.
 
-    Each layer concatenates its two directions per frame, so the output of a
-    stack with hidden size H is T x 2H.
+    Each direction is one `Tape.lstm` node. Each layer concatenates its two
+    directions per frame, so the output of a stack with hidden size H is T x 2H.
     """
     if x.value.shape[0] < 1:
         raise ValueError("need at least one frame")
     out = x
     for fw, bw in layers:
-        hs_f = lstm_run(tape, out, fw, reverse=False)
-        hs_b = lstm_run(tape, out, bw, reverse=True)
-        out = tape.hstack(tape.vstack(hs_f), tape.vstack(hs_b))
+        out = tape.hstack(tape.lstm(out, fw.wx, fw.wh, fw.b),
+                          tape.lstm(out, bw.wx, bw.wh, bw.b, reverse=True))
     return out
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfeat.autodiff import ParameterSet, Tape, grad_check
-from segfeat.nn import LstmParams, bilstm_encode, init_lstm, lstm_run, lstm_step, mlp2
+from segfeat.nn import LstmParams, bilstm_encode, init_lstm, mlp2
+
+from per_frame_lstm import PerFrameTape
 
 
 def test_affine_identity():
@@ -115,12 +119,13 @@ def _primitive_cases(rng):
          lambda t, p: t.sum(t.tanh(t.rows(p["a"], [0, 2, 2, 4]))))
     case("hstack", {"a": (3, 2), "b": (3, 4)},
          lambda t, p: t.sum(t.tanh(t.hstack(p["a"], p["b"]))))
-    case("vstack", {"a": (1, 3), "b": (1, 3), "c": (1, 3)},
-         lambda t, p: t.sum(t.tanh(t.vstack([p["a"], p["b"], p["c"]]))))
     case("prefix_sum", {"a": (5, 3)},
          lambda t, p: t.sum(t.tanh(t.prefix_sum(p["a"]))))
-    case("lstm_gates", {"pre": (1, 8), "c": (1, 2)},
-         lambda t, p: t.sum(t.hstack(*t.lstm_gates(p["pre"], p["c"]))))
+    lstm_shapes = {"x": (4, 3), "wx": (3, 8), "wh": (2, 8), "b": (1, 8)}
+    for reverse in (False, True):
+        case(f"lstm_reverse={reverse}", lstm_shapes,
+             lambda t, p, r=reverse: t.sum(t.tanh(t.lstm(p["x"], p["wx"], p["wh"], p["b"],
+                                                         reverse=r))))
     case("softmax_nll", {"z": (5, 4)},
          lambda t, p: t.softmax_nll(p["z"], np.array([0, 3, 1, 2, 2])))
     case("bce_logits", {"z": (6, 1)},
@@ -135,43 +140,46 @@ def test_every_primitive_matches_finite_differences():
         assert err < 1e-6, f"{name}: max relative error {err}"
 
 
+def _lstm(tape, x, lp, reverse=False):
+    return tape.lstm(tape.tensor(x), lp.wx, lp.wh, lp.b, reverse=reverse)
+
+
 def test_lstm_step_zero_params_zero_state():
     params = ParameterSet()
     rng = np.random.default_rng(0)
     lp = init_lstm(params, "l", 3, 4, rng, forget_bias=0.0)
     for tensor in params.tensors():
         tensor.value[:] = 0.0
-    t = Tape()
-    h, c = lstm_step(t, t.tensor(np.ones((1, 3))),
-                     (t.tensor(np.zeros((1, 4))), t.tensor(np.zeros((1, 4)))), lp)
-    assert np.array_equal(h.value, np.zeros((1, 4)))
-    assert np.array_equal(c.value, np.zeros((1, 4)))
+    for tsteps in (1, 5):
+        h = _lstm(Tape(), np.ones((tsteps, 3)), lp)
+        assert np.array_equal(h.value, np.zeros((tsteps, 4)))
 
 
 def test_lstm_step_forget_bias_limit():
-    # with a huge forget bias and zeroed input/output gates pushed open,
-    # c' ~= c + i*g within sigmoid(50) of the exact identity
+    # with a huge forget bias the second cell keeps the first cell's state:
+    # c2 ~= c1 + i2*g2 within sigmoid(50) of the exact identity, and c1 = i1*g1
+    # from the zero initial state
     rng = np.random.default_rng(1)
     params = ParameterSet()
     lp = init_lstm(params, "l", 2, 3, rng, forget_bias=50.0)
-    t = Tape()
-    x = t.tensor(rng.normal(size=(1, 2)))
-    h0 = t.tensor(rng.normal(size=(1, 3)) * 0.1)
-    c0 = t.tensor(rng.normal(size=(1, 3)))
-    h, c = lstm_step(t, x, (h0, c0), lp)
-    pre = x.value @ lp.wx.value + h0.value @ lp.wh.value + lp.b.value
-    i = 0.5 * (np.tanh(0.5 * pre[:, :3]) + 1)
-    g = np.tanh(pre[:, 6:9])
-    assert np.allclose(c.value, c0.value + i * g, atol=1e-12)
+    x = rng.normal(size=(2, 2))
+    h = _lstm(Tape(), x, lp).value
+
+    def gates(pre):
+        sig = 0.5 * (np.tanh(0.5 * pre) + 1)
+        return sig[:, :3], np.tanh(pre[:, 6:9]), sig[:, 9:]
+
+    i1, g1, o1 = gates(x[:1] @ lp.wx.value + lp.b.value)
+    i2, g2, o2 = gates(x[1:] @ lp.wx.value + h[:1] @ lp.wh.value + lp.b.value)
+    assert np.allclose(h[:1], o1 * np.tanh(i1 * g1), atol=1e-12)
+    assert np.allclose(h[1:], o2 * np.tanh(i1 * g1 + i2 * g2), atol=1e-12)
 
 
 def test_lstm_step_outputs_bounded():
     rng = np.random.default_rng(2)
     params = ParameterSet()
     lp = init_lstm(params, "l", 4, 5, rng)
-    t = Tape()
-    h, c = lstm_step(t, t.tensor(rng.normal(size=(1, 4)) * 10),
-                     (t.tensor(rng.normal(size=(1, 5))), t.tensor(rng.normal(size=(1, 5)))), lp)
+    h = _lstm(Tape(), rng.normal(size=(1, 4)) * 10, lp)
     assert np.all(np.abs(h.value) < 1.0)
 
 
@@ -180,14 +188,27 @@ def test_lstm_run_matches_repeated_steps():
     params = ParameterSet()
     lp = init_lstm(params, "l", 3, 4, rng)
     x = rng.normal(size=(6, 3))
+    for reverse in (False, True):
+        hs = _lstm(Tape(), x, lp, reverse=reverse).value
+        t2 = PerFrameTape()
+        xpre = t2.affine(t2.tensor(x), lp.wx, lp.b)
+        h = t2.tensor(np.zeros((1, 4)))
+        c = t2.tensor(np.zeros((1, 4)))
+        for i in (range(5, -1, -1) if reverse else range(6)):
+            h, c = t2.lstm_step(t2.rows(xpre, [i]), (h, c), lp.wh)
+            assert np.array_equal(hs[i:i + 1], h.value)
+
+
+def test_lstm_rejects_mismatched_shapes():
+    params = ParameterSet()
+    lp = init_lstm(params, "l", 3, 2, np.random.default_rng(0))
     t = Tape()
-    hs = lstm_run(t, t.tensor(x), lp)
-    t2 = Tape()
-    h = t2.tensor(np.zeros((1, 4)))
-    c = t2.tensor(np.zeros((1, 4)))
-    for i in range(6):
-        h, c = lstm_step(t2, t2.tensor(x[i:i + 1]), (h, c), lp)
-        assert np.allclose(hs[i].value, h.value, atol=1e-12)
+    with pytest.raises(ValueError):
+        t.lstm(t.tensor(np.zeros((4, 2))), lp.wx, lp.wh, lp.b)
+    with pytest.raises(ValueError):
+        t.lstm(t.tensor(np.zeros((4, 3))), lp.wx, lp.wx, lp.b)
+    with pytest.raises(ValueError):
+        t.lstm(t.tensor(np.zeros((4, 3))), lp.wx, lp.wh, t.tensor(np.zeros((1, 4))))
 
 
 def _make_layers(params, rng, input_dim, hidden, layers):
@@ -248,6 +269,32 @@ def test_bilstm_time_reversal_mirror():
     # reversed rows with the forward/backward column halves exchanged
     expected = np.hstack([out.value[::-1, hidden:], out.value[::-1, :hidden]])
     assert np.allclose(out_mirror.value, expected, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tsteps=st.integers(1, 12), hidden=st.integers(1, 6), in_dim=st.integers(1, 5),
+       n_layers=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_property_bilstm_is_bit_identical_to_per_frame_tape(tsteps, hidden, in_dim,
+                                                            n_layers, seed):
+    """Output, input grad and every parameter grad equal the per-frame tape's
+    exactly, after two accumulated backward passes (grads start non-zero,
+    as with batch_size > 1)."""
+    rng = np.random.default_rng(seed)
+    params = ParameterSet()
+    layers = _make_layers(params, rng, in_dim, hidden, n_layers)
+    x = rng.normal(size=(tsteps, in_dim))
+    weights = rng.normal(size=(tsteps, 2 * hidden))
+    runs = []
+    for tape_cls in (Tape, PerFrameTape):
+        params.zero_grad()
+        for _ in range(2):
+            tape = tape_cls()
+            xt = tape.tensor(x)
+            out = bilstm_encode(tape, xt, layers)
+            tape.backward(tape.sum(tape.mul(out, tape.tensor(weights))))
+        runs.append([out.value, xt.grad] + [t.grad.copy() for t in params.tensors()])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 def test_parameter_set_basics():

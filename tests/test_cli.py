@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from segfeat.audio import write_wav
 from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from segfeat.config import ConfigError, load_run_config
 from segfeat.data import read_boundaries_csv, read_manifest
-from segfeat.features import read_features_bin, read_stats
-from segfeat.model import SegmentalModel
+from segfeat.features import FeatureConfig, read_features_bin, read_stats
+from segfeat.model import ModelConfig, SegmentalModel
 from segfeat.train import read_epoch_logs
 
 from conftest import edit_model_header
@@ -221,12 +224,31 @@ def test_segment_requires_exactly_one_input(tmp_path, trained_dir):
 
 
 def test_segment_rate_mismatch(tmp_path, trained_dir):
-    from segfeat.audio import write_wav
     wav = tmp_path / "slow.wav"
     write_wav(wav, np.zeros(8000) + 0.01, 8000)
     rc = main(["segment", "--model", str(trained_dir / "model_best.bin"),
                "--wav", str(wav), "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
+
+
+def test_segment_long_recording_in_bounded_memory(tmp_path):
+    """60 s of audio through the whole `segment` path: WAV read, front end,
+    a 2-layer encoder and the uncapped DP over 6,000 frames. Recording the
+    encoder as four tape nodes per frame peaked at about 113 MiB here."""
+    model = SegmentalModel(ModelConfig(hidden_size=4, num_layers=2), FeatureConfig())
+    model.save(tmp_path / "model.bin")
+    wav = tmp_path / "long.wav"
+    write_wav(wav, np.random.default_rng(0).normal(scale=0.1, size=60 * 16000), 16000)
+    tracemalloc.start()
+    try:
+        rc = main(["segment", "--model", str(tmp_path / "model.bin"), "--wav", str(wav),
+                   "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert (tmp_path / "o" / "long.csv").exists()
+    assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
 def _segment_with_model(tmp_path, corpus_dir, model_path):

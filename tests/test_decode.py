@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -181,6 +181,23 @@ def test_two_best_tie_prefers_the_better_ranked_prefix():
     two = dp_two_best(ctx, model, 2)
     assert [(s.boundaries, v) for s, v in two] == [((2,), -1.0), ((1, 3), -2.0)]
     assert [v for _, v in two] == [v for v, _ in _ranked(ctx, model, 2)[:2]]
+
+
+def test_dp_and_oracle_break_ties_alike_on_every_small_tied_instance():
+    """Zero weights and unary scores from {-1, 0, 1}: each of the 1,092
+    contexts with T <= 6 ties many segmentations, and the DP and the oracle
+    must pick the same one, for a free and for every fixed segment count."""
+    model = small_model()
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    for t_total in range(1, 7):
+        ctx = random_context(model, t_total, np.random.default_rng(t_total))
+        for unary in product((-1.0, 0.0, 1.0), repeat=t_total):
+            ctx.unary.value[:, 0] = unary
+            assert dp_segment(ctx, model) == brute_force_segment(ctx, model), unary
+            for k in range(1, t_total + 1):
+                assert dp_segment_k(ctx, model, k) == brute_force_segment(ctx, model, k), \
+                    (unary, k)
 
 
 def test_brute_force_single_frame_and_guard():

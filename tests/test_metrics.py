@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfeat.metrics import (EvalReport, TolerancePolicy, evaluate_corpus, evaluate_times,
                              match_boundaries, over_segmentation, precision_recall_f1,
@@ -162,3 +164,26 @@ def test_report_formats():
 def test_tolerance_policy_validation():
     with pytest.raises(ValueError):
         TolerancePolicy(-0.01)
+
+
+# ----- invariants ------------------------------------------------------------
+
+TIMES = st.lists(st.floats(0.0, 3.0), max_size=12).map(sorted)
+TOLERANCE = st.floats(0.0, 0.5)
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(pred=TIMES, ref=TIMES, tol=TOLERANCE, wider=TOLERANCE)
+def test_property_hits_are_bounded_and_never_drop_as_tolerance_grows(pred, ref, tol, wider):
+    hits = match_boundaries(pred, ref, tol)
+    assert 0 <= hits <= min(len(pred), len(ref))
+    assert match_boundaries(pred, ref, tol + wider) >= hits
+
+
+@PROPERTY_SETTINGS
+@given(n_pred=st.integers(0, 1000), n_ref=st.integers(0, 1000), data=st.data())
+def test_property_precision_recall_f1_lie_in_unit_interval(n_pred, n_ref, data):
+    hits = data.draw(st.integers(0, min(n_pred, n_ref)))
+    for value in precision_recall_f1(hits, n_pred, n_ref):
+        assert 0.0 <= value <= 1.0
