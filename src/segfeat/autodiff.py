@@ -223,20 +223,6 @@ class Tape:
         self._record(back)
         return out
 
-    def hstack(self, a: Tensor, b: Tensor) -> Tensor:
-        na = a.value.shape[1]
-        out = self._make(np.hstack([a.value, b.value]))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g[:, :na])
-            _acc(b, g[:, na:])
-
-        self._record(back)
-        return out
-
     def prefix_sum(self, a: Tensor) -> Tensor:
         """(T+1) x n prefix sums with a zero first row; out[t+1]-out[t] == a[t]."""
         v = np.vstack([np.zeros((1, a.value.shape[1])), np.cumsum(a.value, axis=0)])
@@ -252,81 +238,98 @@ class Tape:
         self._record(back)
         return out
 
-    def lstm(self, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-             reverse: bool = False) -> Tensor:
-        """One LSTM direction over a T x in_dim sequence; returns T x H states.
+    def bilstm(self, x: Tensor, fw, bw) -> Tensor:
+        """One bidirectional LSTM layer over a T x in_dim sequence; returns T x 2H.
 
-        Gates are laid out [input | forget | candidate | output] in wx, wh
-        and b. The input projection x @ wx + b is batched over all frames;
-        the recurrence pays one 1 x H @ H x 4H product per step. The whole
-        scan is a single node whose backward is hand-written BPTT, with the
-        float operations in the order of a per-frame cell, so the results do
-        not depend on how the recurrence is recorded.
+        `fw` and `bw` are (wx, wh, b) triples with the gates laid out
+        [input | forget | candidate | output]. The forward direction runs
+        over frames 0..T-1 and the backward one over T-1..0 in the same
+        loop: step k holds both as a stacked 2 x 1 x 4H preactivation, so one
+        cell's numpy calls serve both directions. The input projections are
+        batched over all frames; the whole layer is a single node whose
+        backward is hand-written BPTT. A stacked product rounds as each of
+        its 2-D products and element-wise ops ignore stacking, so with the
+        float operations in the order of a per-frame cell the results do not
+        depend on how the recurrence is recorded.
         """
-        xv, wxv, whv = x.value, wx.value, wh.value
-        hdim = whv.shape[0]
-        if whv.shape != (hdim, 4 * hdim):
-            raise ValueError(f"lstm wh must be H x 4H, got {whv.shape}")
-        if xv.ndim != 2 or wxv.shape != (xv.shape[1], 4 * hdim):
-            raise ValueError(f"lstm shape mismatch: {xv.shape} @ {wxv.shape} for H={hdim}")
-        if b.value.shape != (1, 4 * hdim):
-            raise ValueError(f"lstm bias must be 1x{4 * hdim}, got {b.value.shape}")
-        xpre = xv @ wxv + b.value  # T x 4H, as affine computes it
-        tsteps = xpre.shape[0]
-        order = range(tsteps - 1, -1, -1) if reverse else range(tsteps)
-        hs = np.empty((tsteps, hdim))
-        gates = np.empty((tsteps, 4 * hdim))  # sigmoid row, candidate slot holds tanh
-        c_prev = np.empty((tsteps, hdim))
-        h_prev = np.empty((tsteps, hdim))
-        tcs = np.empty((tsteps, hdim))
-        h = np.zeros((1, hdim))
-        c = np.zeros((1, hdim))
-        for t in order:
-            p = xpre[t:t + 1] + h @ whv
-            s = _sigmoid(p)
-            g = np.tanh(p[:, 2 * hdim:3 * hdim])
-            s[:, 2 * hdim:3 * hdim] = g
-            c_prev[t] = c
-            h_prev[t] = h
-            c = s[:, hdim:2 * hdim] * c + s[:, :hdim] * g
-            tc = np.tanh(c)
-            h = s[:, 3 * hdim:] * tc
-            gates[t] = s
-            tcs[t] = tc
-            hs[t] = h
-        out = self._make(hs)
+        xv = x.value
+        hdim = _lstm_hidden(xv, *fw)
+        if _lstm_hidden(xv, *bw) != hdim:
+            raise ValueError(f"bilstm directions differ in hidden size: "
+                             f"{fw[1].value.shape} vs {bw[1].value.shape}")
+        h2, h3 = 2 * hdim, 3 * hdim
+        tsteps = xv.shape[0]
+        # per-step inputs: frame k forward, frame T-1-k backward, each
+        # projection as affine computes it
+        xp = np.empty((tsteps, 2, 1, 4 * hdim))
+        xp[:, 0, 0] = xv @ fw[0].value + fw[2].value
+        xp[::-1, 1, 0] = xv @ bw[0].value + bw[2].value
+        wh = np.stack([fw[1].value, bw[1].value])
+        hs = np.zeros((tsteps + 1, 2, 1, hdim))  # row k + 1: the state after step k
+        cs = np.zeros((tsteps + 1, 2, 1, hdim))
+        gates = np.empty((tsteps, 2, 1, 4 * hdim))  # sigmoid row, candidate slot holds tanh
+        tcs = np.empty((tsteps, 2, 1, hdim))
+        for k in range(tsteps):
+            p = xp[k] + hs[k] @ wh
+            s = gates[k]
+            np.multiply(p, 0.5, out=s)  # the _sigmoid identity, in place
+            np.tanh(s, out=s)
+            s += 1.0
+            s *= 0.5
+            g = s[..., h2:h3]
+            np.tanh(p[..., h2:h3], out=g)
+            c = cs[k + 1]
+            np.multiply(s[..., hdim:h2], cs[k], out=c)
+            c += s[..., :hdim] * g
+            np.tanh(c, out=tcs[k])
+            np.multiply(s[..., h3:], tcs[k], out=hs[k + 1])
+        out = self._make(np.concatenate([hs[1:, 0, 0], hs[:0:-1, 1, 0]], axis=1))
 
         def back():
             dout = out.grad
             if dout is None:
                 return
-            i, f, g, o = (gates[:, k * hdim:(k + 1) * hdim] for k in range(4))
+            dh = np.empty_like(hs[1:])
+            dh[:, 0, 0] = dout[:, :hdim]
+            dh[::-1, 1, 0] = dout[:, hdim:]
+            i, f, g, o = (gates[..., n * hdim:(n + 1) * hdim] for n in range(4))
             # per-gate preactivation grads as ((X * m1) * m2) * m3 with
             # X = [gc | gc | gc | gh], the factor order of the cell's derivatives
-            m1 = np.hstack([g, c_prev, i, tcs])
-            m2 = np.hstack([i, f, np.ones_like(g), o])
-            m3 = np.hstack([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o])
+            m1 = np.concatenate([g, cs[:-1], i, tcs], axis=-1)
+            m2 = np.concatenate([i, f, np.ones_like(g), o], axis=-1)
+            m3 = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=-1)
             dtc = 1.0 - tcs * tcs
-            whT = whv.T
-            gxpre = np.zeros_like(xpre)
-            gx = np.empty((4, hdim))
-            gwh = np.empty_like(whv)
-            gc = np.zeros((1, hdim))
-            gpre = None  # the scan's last frame feeds no later step
-            for t in reversed(order):
-                gh = dout[t:t + 1] if gpre is None else dout[t:t + 1] + gpre @ whT
-                gc = gc + gh * o[t] * dtc[t]
-                gx[:3] = gc
-                gx[3] = gh
-                gpre = (gx.reshape(1, -1) * m1[t]) * m2[t] * m3[t]
-                gxpre[t:t + 1] += gpre
+            whT = wh.transpose(0, 2, 1)
+            gxp = np.zeros_like(xp)
+            gx = np.empty((2, 1, 4 * hdim))
+            gx4 = gx.reshape(2, 1, 4, hdim)
+            gpre = np.empty_like(gx)
+            # accumulated in place from the existing grads; a wh without one
+            # starts from zeros, as ParameterSet's do
+            gwh = np.stack([np.zeros_like(w.value) if w.grad is None else w.grad
+                            for w in (fw[1], bw[1])])
+            outer = np.empty_like(gwh)
+            gc = np.zeros((2, 1, hdim))
+            for k in range(tsteps - 1, -1, -1):
+                # the scan's last step feeds no later one
+                gh = dh[k] if k == tsteps - 1 else dh[k] + gpre @ whT
+                gc = gc + gh * o[k] * dtc[k]
+                gx4[:, :, :3] = gc[:, :, None]
+                gx4[:, :, 3] = gh
+                np.multiply(gx, m1[k], out=gpre)
+                gpre *= m2[k]
+                gpre *= m3[k]
+                gxp[k] += gpre
                 # one outer product per step, in step order: a batched
                 # h_prev.T @ G would sum in another order
-                _acc(wh, np.multiply(h_prev[t:t + 1].T, gpre, out=gwh))
-                gc = gc * f[t]
-            _acc(x, gxpre @ wxv.T)
-            _acc(wx, xv.T @ gxpre)
-            _acc(b, gxpre.sum(axis=0, keepdims=True))
+                gwh += np.einsum("kxi,kxj->kij", hs[k], gpre, out=outer)
+                gc *= f[k]
+            fw[1].grad, bw[1].grad = gwh
+            for (wx, _, b), gxpre in ((bw, gxp[::-1, 1, 0]), (fw, gxp[:, 0, 0])):
+                gxpre = np.ascontiguousarray(gxpre)  # frame order, as a 2-D scan sums it
+                _acc(x, gxpre @ wx.value.T)
+                _acc(wx, xv.T @ gxpre)
+                _acc(b, gxpre.sum(axis=0, keepdims=True))
 
         self._record(back)
         return out
@@ -373,6 +376,18 @@ class Tape:
 
         self._record(back)
         return out
+
+
+def _lstm_hidden(xv, wx: Tensor, wh: Tensor, b: Tensor) -> int:
+    """Hidden size H of one LSTM direction; raises on mismatched shapes."""
+    hdim = wh.value.shape[0]
+    if wh.value.shape != (hdim, 4 * hdim):
+        raise ValueError(f"lstm wh must be H x 4H, got {wh.value.shape}")
+    if xv.ndim != 2 or wx.value.shape != (xv.shape[1], 4 * hdim):
+        raise ValueError(f"lstm shape mismatch: {xv.shape} @ {wx.value.shape} for H={hdim}")
+    if b.value.shape != (1, 4 * hdim):
+        raise ValueError(f"lstm bias must be 1x{4 * hdim}, got {b.value.shape}")
+    return hdim
 
 
 def _sigmoid(x):

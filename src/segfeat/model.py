@@ -273,10 +273,6 @@ class ScoreContext:
         return self.unary.value[:, 0]
 
     @property
-    def prefix_np(self) -> np.ndarray:
-        return self.prefix.value
-
-    @property
     def q_np(self) -> np.ndarray:
         return self.q.value
 

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import ParameterSet, Tape, Tensor
 
 
-@dataclass
-class LstmParams:
+class LstmParams(NamedTuple):
     """One direction of one LSTM layer; gate layout is [input|forget|cand|output]."""
 
     wx: Tensor  # in_dim x 4H
@@ -43,15 +42,15 @@ def init_affine(params: ParameterSet, prefix: str, in_dim: int, out_dim: int,
 def bilstm_encode(tape: Tape, x: Tensor, layers) -> Tensor:
     """Stacked bidirectional LSTM; layers is a list of (forward, backward) params.
 
-    Each direction is one `Tape.lstm` node. Each layer concatenates its two
-    directions per frame, so the output of a stack with hidden size H is T x 2H.
+    Each layer is one `Tape.bilstm` node that scans both directions in one
+    loop and concatenates them per frame, so the output of a stack with
+    hidden size H is T x 2H.
     """
     if x.value.shape[0] < 1:
         raise ValueError("need at least one frame")
     out = x
     for fw, bw in layers:
-        out = tape.hstack(tape.lstm(out, fw.wx, fw.wh, fw.b),
-                          tape.lstm(out, bw.wx, bw.wh, bw.b, reverse=True))
+        out = tape.bilstm(out, fw, bw)
     return out
 
 
@@ -59,7 +58,3 @@ def mlp2(tape: Tape, x: Tensor, w1, b1, w2, b2) -> Tensor:
     """Two-layer feed-forward head: tanh hidden, linear output."""
     return tape.affine(tape.tanh(tape.affine(x, w1, b1)), w2, b2)
 
-
-def mlp2_np(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """Numpy twin of mlp2: the unfactored reference for the bigram scoring path."""
-    return np.tanh(x @ w1.value + b1.value) @ w2.value + b2.value

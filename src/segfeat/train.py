@@ -39,12 +39,25 @@ class TrainConfig:
         self.losses = tuple(self.losses)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        # written so that NaN fails each float check
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.lambda_phn < 0 or self.lambda_bin < 0:
+        if not (self.lambda_phn >= 0 and self.lambda_bin >= 0):
             raise ValueError("loss weights must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
+        if self.max_seg_frames < 1:
+            raise ValueError("max_seg_frames must be >= 1")
+        if not self.grad_clip >= 0:
+            raise ValueError("grad_clip must be >= 0")
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be >= 0")
         for name in self.losses:
             if name not in LOSS_NAMES:
                 raise ValueError(f"unknown loss {name!r}; expected subset of {LOSS_NAMES}")

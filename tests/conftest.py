@@ -16,6 +16,11 @@ def small_model(input_dim=8, hidden=4, layers=2, seed=3, inventory=(), with_bin=
     return SegmentalModel(cfg, FeatureConfig())
 
 
+def mlp2_np(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """Numpy twin of nn.mlp2: the unfactored reference for the bigram scoring path."""
+    return np.tanh(x @ w1.value + b1.value) @ w2.value + b2.value
+
+
 def random_context(model, n_frames, rng, scale=2.0):
     """Context with injected random hidden states: a random score instance."""
     hidden = rng.normal(size=(n_frames, 2 * model.cfg.hidden_size)) * scale

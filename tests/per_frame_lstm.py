@@ -1,11 +1,12 @@
-"""Per-frame tape LSTM: the reference that `Tape.lstm` must reproduce bit for bit.
+"""Per-frame tape LSTM: the reference that `Tape.bilstm` must reproduce bit for bit.
 
-`PerFrameTape.lstm` records the recurrence frame by frame: a batched input
+`PerFrameTape.lstm` records one direction frame by frame: a batched input
 projection, then per frame a row gather, the h @ wh product, their sum and
-one gate node. Every op keeps its own generic backward, so this is the
-independent oracle for the hand-written BPTT, as `brute_force_segment` is
-for the DP. `bilstm_encode(PerFrameTape(), ...)` runs the whole stacked
-encoder through it.
+one gate node. `PerFrameTape.bilstm` runs the two directions one after the
+other and joins them with `hstack`. Every op keeps its own generic
+backward, so this is the independent oracle for the hand-written BPTT, as
+`brute_force_segment` is for the DP. `bilstm_encode(PerFrameTape(), ...)`
+runs the whole stacked encoder through it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from segfeat.autodiff import Tape, Tensor, _acc, _sigmoid
 
 
 class PerFrameTape(Tape):
-    """A Tape whose `lstm` records four nodes per frame."""
+    """A Tape whose `bilstm` records four nodes per frame and direction."""
+
+    def bilstm(self, x: Tensor, fw, bw) -> Tensor:
+        return self.hstack(self.lstm(x, *fw), self.lstm(x, *bw, reverse=True))
 
     def lstm(self, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
              reverse: bool = False) -> Tensor:
@@ -35,6 +39,20 @@ class PerFrameTape(Tape):
         """One cell update from the projected input row; state is (h, c), each 1 x H."""
         h, c = state
         return self.lstm_gates(self.add(xpre_t, self.matmul(h, wh)), c)
+
+    def hstack(self, a: Tensor, b: Tensor) -> Tensor:
+        na = a.value.shape[1]
+        out = self._make(np.hstack([a.value, b.value]))
+
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            _acc(a, g[:, :na])
+            _acc(b, g[:, na:])
+
+        self._record(back)
+        return out
 
     def vstack(self, parts) -> Tensor:
         parts = list(parts)

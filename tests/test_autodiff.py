@@ -117,15 +117,16 @@ def _primitive_cases(rng):
     case("relu", {"a": (3, 3)}, lambda t, p: t.sum(t.relu(p["a"])))
     case("rows", {"a": (5, 3)},
          lambda t, p: t.sum(t.tanh(t.rows(p["a"], [0, 2, 2, 4]))))
+    # hstack lives only in the per-frame oracle; grad_check records on a plain Tape
     case("hstack", {"a": (3, 2), "b": (3, 4)},
-         lambda t, p: t.sum(t.tanh(t.hstack(p["a"], p["b"]))))
+         lambda t, p: t.sum(t.tanh(PerFrameTape.hstack(t, p["a"], p["b"]))))
     case("prefix_sum", {"a": (5, 3)},
          lambda t, p: t.sum(t.tanh(t.prefix_sum(p["a"]))))
-    lstm_shapes = {"x": (4, 3), "wx": (3, 8), "wh": (2, 8), "b": (1, 8)}
-    for reverse in (False, True):
-        case(f"lstm_reverse={reverse}", lstm_shapes,
-             lambda t, p, r=reverse: t.sum(t.tanh(t.lstm(p["x"], p["wx"], p["wh"], p["b"],
-                                                         reverse=r))))
+    bilstm_shapes = {"x": (4, 3), "f.wx": (3, 8), "f.wh": (2, 8), "f.b": (1, 8),
+                     "b.wx": (3, 8), "b.wh": (2, 8), "b.b": (1, 8)}
+    case("bilstm", bilstm_shapes,
+         lambda t, p: t.sum(t.tanh(t.bilstm(p["x"], (p["f.wx"], p["f.wh"], p["f.b"]),
+                                            (p["b.wx"], p["b.wh"], p["b.b"])))))
     case("softmax_nll", {"z": (5, 4)},
          lambda t, p: t.softmax_nll(p["z"], np.array([0, 3, 1, 2, 2])))
     case("bce_logits", {"z": (6, 1)},
@@ -140,8 +141,8 @@ def test_every_primitive_matches_finite_differences():
         assert err < 1e-6, f"{name}: max relative error {err}"
 
 
-def _lstm(tape, x, lp, reverse=False):
-    return tape.lstm(tape.tensor(x), lp.wx, lp.wh, lp.b, reverse=reverse)
+def _bilstm(tape, x, fw, bw=None):
+    return tape.bilstm(tape.tensor(x), fw, fw if bw is None else bw)
 
 
 def test_lstm_step_zero_params_zero_state():
@@ -151,19 +152,19 @@ def test_lstm_step_zero_params_zero_state():
     for tensor in params.tensors():
         tensor.value[:] = 0.0
     for tsteps in (1, 5):
-        h = _lstm(Tape(), np.ones((tsteps, 3)), lp)
-        assert np.array_equal(h.value, np.zeros((tsteps, 4)))
+        h = _bilstm(Tape(), np.ones((tsteps, 3)), lp)
+        assert np.array_equal(h.value, np.zeros((tsteps, 8)))
 
 
 def test_lstm_step_forget_bias_limit():
     # with a huge forget bias the second cell keeps the first cell's state:
     # c2 ~= c1 + i2*g2 within sigmoid(50) of the exact identity, and c1 = i1*g1
-    # from the zero initial state
+    # from the zero initial state (forward half of the layer)
     rng = np.random.default_rng(1)
     params = ParameterSet()
     lp = init_lstm(params, "l", 2, 3, rng, forget_bias=50.0)
     x = rng.normal(size=(2, 2))
-    h = _lstm(Tape(), x, lp).value
+    h = _bilstm(Tape(), x, lp).value[:, :3]
 
     def gates(pre):
         sig = 0.5 * (np.tanh(0.5 * pre) + 1)
@@ -179,36 +180,41 @@ def test_lstm_step_outputs_bounded():
     rng = np.random.default_rng(2)
     params = ParameterSet()
     lp = init_lstm(params, "l", 4, 5, rng)
-    h = _lstm(Tape(), rng.normal(size=(1, 4)) * 10, lp)
+    h = _bilstm(Tape(), rng.normal(size=(1, 4)) * 10, lp)
     assert np.all(np.abs(h.value) < 1.0)
 
 
 def test_lstm_run_matches_repeated_steps():
     rng = np.random.default_rng(3)
     params = ParameterSet()
-    lp = init_lstm(params, "l", 3, 4, rng)
+    fw = init_lstm(params, "f", 3, 4, rng)
+    bw = init_lstm(params, "b", 3, 4, rng)
     x = rng.normal(size=(6, 3))
-    for reverse in (False, True):
-        hs = _lstm(Tape(), x, lp, reverse=reverse).value
+    hs = _bilstm(Tape(), x, fw, bw).value
+    for lp, half, order in ((fw, slice(0, 4), range(6)), (bw, slice(4, 8), range(5, -1, -1))):
         t2 = PerFrameTape()
         xpre = t2.affine(t2.tensor(x), lp.wx, lp.b)
         h = t2.tensor(np.zeros((1, 4)))
         c = t2.tensor(np.zeros((1, 4)))
-        for i in (range(5, -1, -1) if reverse else range(6)):
+        for i in order:
             h, c = t2.lstm_step(t2.rows(xpre, [i]), (h, c), lp.wh)
-            assert np.array_equal(hs[i:i + 1], h.value)
+            assert np.array_equal(hs[i:i + 1, half], h.value)
 
 
 def test_lstm_rejects_mismatched_shapes():
     params = ParameterSet()
-    lp = init_lstm(params, "l", 3, 2, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    lp = init_lstm(params, "l", 3, 2, rng)
+    wide = init_lstm(params, "w", 3, 3, rng)
     t = Tape()
-    with pytest.raises(ValueError):
-        t.lstm(t.tensor(np.zeros((4, 2))), lp.wx, lp.wh, lp.b)
-    with pytest.raises(ValueError):
-        t.lstm(t.tensor(np.zeros((4, 3))), lp.wx, lp.wx, lp.b)
-    with pytest.raises(ValueError):
-        t.lstm(t.tensor(np.zeros((4, 3))), lp.wx, lp.wh, t.tensor(np.zeros((1, 4))))
+    x = t.tensor(np.zeros((4, 3)))
+    for args in ((t.tensor(np.zeros((4, 2))), lp, lp),
+                 (x, LstmParams(lp.wx, lp.wx, lp.b), lp),
+                 (x, lp, LstmParams(lp.wx, lp.wh, t.tensor(np.zeros((1, 4)))))):
+        with pytest.raises(ValueError):
+            t.bilstm(*args)
+    with pytest.raises(ValueError, match="differ in hidden size"):
+        t.bilstm(x, lp, wide)
 
 
 def _make_layers(params, rng, input_dim, hidden, layers):
@@ -271,13 +277,10 @@ def test_bilstm_time_reversal_mirror():
     assert np.allclose(out_mirror.value, expected, atol=1e-10)
 
 
-@settings(max_examples=60, deadline=None)
-@given(tsteps=st.integers(1, 12), hidden=st.integers(1, 6), in_dim=st.integers(1, 5),
-       n_layers=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-def test_property_bilstm_is_bit_identical_to_per_frame_tape(tsteps, hidden, in_dim,
-                                                            n_layers, seed):
+def _assert_bilstm_bytes_match_per_frame_tape(tsteps, hidden, in_dim, n_layers, seed):
     """Output, input grad and every parameter grad equal the per-frame tape's
-    exactly, after two accumulated backward passes (grads start non-zero,
+    byte for byte (so also in the sign of zeros, which np.array_equal
+    ignores), after two accumulated backward passes (grads start non-zero,
     as with batch_size > 1)."""
     rng = np.random.default_rng(seed)
     params = ParameterSet()
@@ -293,8 +296,24 @@ def test_property_bilstm_is_bit_identical_to_per_frame_tape(tsteps, hidden, in_d
             out = bilstm_encode(tape, xt, layers)
             tape.backward(tape.sum(tape.mul(out, tape.tensor(weights))))
         runs.append([out.value, xt.grad] + [t.grad.copy() for t in params.tensors()])
-    for got, want in zip(*runs):
-        assert np.array_equal(got, want)
+    names = ["output", "x.grad"] + [f"{n}.grad" for n in params.names()]
+    for name, got, want in zip(names, *runs):
+        assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(tsteps=st.integers(1, 12), hidden=st.integers(1, 6), in_dim=st.integers(1, 5),
+       n_layers=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_property_bilstm_is_bit_identical_to_per_frame_tape(tsteps, hidden, in_dim,
+                                                            n_layers, seed):
+    _assert_bilstm_bytes_match_per_frame_tape(tsteps, hidden, in_dim, n_layers, seed)
+
+
+@pytest.mark.parametrize("tsteps,hidden", [(300, 64), (40, 16)])
+def test_bilstm_is_bit_identical_to_per_frame_tape_at_workload_shapes(tsteps, hidden):
+    # the benchmark's TIMIT-like and desk shapes: larger products than the
+    # property draws, which BLAS may route through other kernels
+    _assert_bilstm_bytes_match_per_frame_tape(tsteps, hidden, 43, 2, seed=7)
 
 
 def test_parameter_set_basics():

@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segfeat import train as train_module
 from segfeat.audio import write_wav
 from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from segfeat.config import ConfigError, load_run_config
 from segfeat.data import read_boundaries_csv, read_manifest
 from segfeat.features import FeatureConfig, read_features_bin, read_stats
+from segfeat.metrics import evaluate_corpus
 from segfeat.model import ModelConfig, SegmentalModel
 from segfeat.train import read_epoch_logs
 
@@ -77,6 +79,37 @@ def test_config_env_overrides(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_run_config("/nope/really/not.cfg", env={})
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("eval", "tolerance", "-0.01"),
+    ("eval", "tolerance", "nan"),
+    ("train", "learning_rate", "nan"),
+    ("train", "max_seg_frames", "0"),
+    ("train", "max_seg_frames", "-5"),
+    ("train", "grad_clip", "-1"),
+    ("train", "grad_clip", "nan"),
+    ("train", "beta1", "1.5"),
+    ("train", "beta1", "-0.1"),
+    ("train", "beta2", "1.0"),
+    ("train", "eps", "0"),
+    ("train", "eps", "-1"),
+    ("train", "patience", "-3"),
+])
+def test_config_out_of_range_training_value_rejected(tmp_path, section, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(path, env={})
+
+
+def test_config_range_edges_accepted(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[train]\nmax_seg_frames = 1\ngrad_clip = 0\nbeta1 = 0\n"
+                    "beta2 = 0\npatience = 0\n[eval]\ntolerance = 0\n")
+    tcfg = load_run_config(path, env={}).train_config()
+    assert (tcfg.max_seg_frames, tcfg.grad_clip, tcfg.beta1, tcfg.beta2, tcfg.patience,
+            tcfg.tolerance) == (1, 0.0, 0.0, 0.0, 0, 0.0)
 
 
 # ----- CLI flows -------------------------------------------------------------
@@ -191,6 +224,46 @@ def test_train_config_error(tmp_path, corpus_dir):
     rc = main(["train", "--manifest", str(corpus_dir / "manifest.csv"),
                "--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == EXIT_CONFIG
+
+
+def test_train_rejects_negative_tolerance_before_training(tmp_path, corpus_dir, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CFG_SMALL + "[eval]\ntolerance = -0.01\n")
+    out = tmp_path / "o"
+    rc = main(["train", "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_CONFIG
+    assert "training on" not in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_segment_reproduces_validation_segmentations(tmp_path, corpus_dir, monkeypatch):
+    """The inference contract: `segment` on a saved checkpoint writes exactly
+    the boundaries that validation decoded with the trained model in memory."""
+    validated = []
+
+    def recording_evaluate_corpus(preds, refs, policy=None):
+        validated.append(preds)
+        return evaluate_corpus(preds, refs, policy)
+
+    monkeypatch.setattr(train_module, "evaluate_corpus", recording_evaluate_corpus)
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_SMALL)
+    rc = main(["train", "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(run), "--config", str(cfg)])
+    assert rc == EXIT_OK
+    final = validated[-1]  # the best checkpoint, validated once more after fit
+    val_wavs = [e.wav_path for e in
+                read_manifest(corpus_dir / "manifest.csv", 16000).split("val")]
+    assert sorted(final) == sorted(w.stem for w in val_wavs)
+    for wav in val_wavs:
+        rc = main(["segment", "--model", str(run / "model_best.bin"), "--wav", str(wav),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == EXIT_OK
+    for key, (seg, shift) in final.items():
+        assert read_boundaries_csv(tmp_path / "pred" / f"{key}.csv") == seg.times(shift)
+    assert any(seg.boundaries for seg, _ in final.values())  # not vacuous
 
 
 def test_segment_command(tmp_path, corpus_dir, trained_dir):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k, dp_two_best
 from segfeat.model import Segmentation, bigram_scores_np, score_segmentation
-from segfeat.nn import mlp2_np
 
-from conftest import random_context, small_model, toy_context
+from conftest import mlp2_np, random_context, small_model, toy_context
 
 
 def test_dp_toy(toy_model):
@@ -290,7 +289,7 @@ def test_property_projected_scores_match_unfactored_reference(flags, t_total, se
         score_segmentation(ctx, model, seg)
 
     starts, ends = np.triu_indices(t_total + 1, k=1)
-    x = ctx.prefix_np[ends] - ctx.prefix_np[starts]
+    x = ctx.prefix.value[ends] - ctx.prefix.value[starts]
     if model.cfg.mean_bigram:
         x = x / (ends - starts)[:, None]
     want = mlp2_np(x, *model.head_bigram)[:, 0]

@@ -7,7 +7,7 @@ from segfeat.model import (MODEL_MAGIC, SegmentalModel, Segmentation, bigram_sco
                            boundary_logits, build_context, context_from_hidden,
                            phoneme_logits, score_segmentation)
 
-from conftest import edit_model_header, random_context, small_model, toy_context
+from conftest import edit_model_header, mlp2_np, random_context, small_model, toy_context
 
 
 def test_segmentation_invariants():
@@ -37,9 +37,9 @@ def test_build_context_shapes_and_prefix():
     assert ctx.hidden.value.shape == (5, 8)
     assert ctx.unary.value.shape == (5, 1)
     assert ctx.prefix.value.shape == (6, 8)
-    assert np.allclose(ctx.prefix_np[-1], ctx.hidden_np.sum(axis=0))
+    assert np.allclose(ctx.prefix.value[-1], ctx.hidden_np.sum(axis=0))
     # exact telescoping, not just approximate
-    diffs = ctx.prefix_np[1:] - ctx.prefix_np[:-1]
+    diffs = ctx.prefix.value[1:] - ctx.prefix.value[:-1]
     assert np.array_equal(diffs, np.cumsum(ctx.hidden_np, axis=0)
                           - np.vstack([np.zeros((1, 8)), np.cumsum(ctx.hidden_np, axis=0)[:-1]]))
 
@@ -79,7 +79,6 @@ def test_bigram_single_frame_and_full_span():
     rng = np.random.default_rng(2)
     ctx = random_context(model, 6, rng)
     # e = s+1 consumes exactly hidden[s]
-    from segfeat.nn import mlp2_np
     for s in range(6):
         want = mlp2_np(ctx.hidden_np[s:s + 1], *model.head_bigram)[0, 0]
         assert bigram_score(ctx, model, s, s + 1) == pytest.approx(want, abs=1e-12)
@@ -90,7 +89,7 @@ def test_bigram_single_frame_and_full_span():
 def test_bigram_argument_additivity():
     model = small_model()
     ctx = random_context(model, 7, np.random.default_rng(3))
-    pre = ctx.prefix_np
+    pre = ctx.prefix.value
     arg = lambda s, e: pre[e] - pre[s]
     assert np.allclose(arg(0, 3) + arg(3, 7), arg(0, 7))
 
@@ -202,8 +201,7 @@ def test_shared_head_mode():
 def test_mean_bigram_mode():
     model = small_model(mean_bigram=True)
     ctx = random_context(model, 6, np.random.default_rng(11))
-    from segfeat.nn import mlp2_np
-    want = mlp2_np((ctx.prefix_np[6] - ctx.prefix_np[0])[None, :] / 6.0,
+    want = mlp2_np((ctx.prefix.value[6] - ctx.prefix.value[0])[None, :] / 6.0,
                    *model.head_bigram)[0, 0]
     assert bigram_score(ctx, model, 0, 6) == pytest.approx(want, abs=1e-12)
     taped = bigram_score(ctx, model, 0, 6, on_tape=True)
