@@ -13,8 +13,8 @@ from .features import (FeatureConfig, FeatureStats, FrameMatrix, append_deltas,
 from .losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
 from .metrics import (EvalReport, TolerancePolicy, evaluate_corpus, evaluate_times,
                       match_boundaries, precision_recall_f1, r_value)
-from .model import (ModelConfig, ScoreContext, SegmentalModel, Segmentation, bigram_score,
-                    boundary_logits, build_context, phoneme_logits, score_segmentation)
+from .model import (ModelConfig, ScoreContext, SegmentalModel, Segmentation, boundary_logits,
+                    build_context, phoneme_logits, score_segmentation)
 from .nn import bilstm_encode
 from .optim import AdamState, adam_step, clip_grad_norm
 from .train import EpochLog, FitResult, TrainConfig, fit, validate_model

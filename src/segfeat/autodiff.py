@@ -64,6 +64,10 @@ class Tape:
         loss.grad = np.ones_like(loss.value)
         for fn in reversed(self._nodes):
             fn()
+        # spent: dropping the closures frees what they hold now, and breaks
+        # the cycle that a node holding its ScoreContext (the hinge's) forms
+        # with this tape, which refcounting alone would never free
+        self._nodes.clear()
 
     # ----- primitives ------------------------------------------------------
 
@@ -125,53 +129,12 @@ class Tape:
         self._record(back)
         return out
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"sub shape mismatch: {a.value.shape} - {b.value.shape}")
-        out = self._make(a.value - b.value)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g)
-            _acc(b, -g)
-
-        self._record(back)
-        return out
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        av, bv = a.value, b.value
-        if av.shape != bv.shape:
-            raise ValueError(f"mul shape mismatch: {av.shape} * {bv.shape}")
-        out = self._make(av * bv)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g * bv)
-            _acc(b, g * av)
-
-        self._record(back)
-        return out
-
     def scale(self, a: Tensor, c: float) -> Tensor:
         out = self._make(a.value * c)
 
         def back():
             if out.grad is not None:
                 _acc(a, out.grad * c)
-
-        self._record(back)
-        return out
-
-    def add_const(self, a: Tensor, c: float) -> Tensor:
-        out = self._make(a.value + c)
-
-        def back():
-            if out.grad is not None:
-                _acc(a, out.grad)
 
         self._record(back)
         return out
@@ -183,42 +146,6 @@ class Tape:
         def back():
             if out.grad is not None:
                 _acc(a, out.grad * (1.0 - v * v))
-
-        self._record(back)
-        return out
-
-    def relu(self, a: Tensor) -> Tensor:
-        mask = a.value > 0.0
-        out = self._make(np.where(mask, a.value, 0.0))
-
-        def back():
-            if out.grad is not None:
-                _acc(a, out.grad * mask)
-
-        self._record(back)
-        return out
-
-    def sum(self, a: Tensor) -> Tensor:
-        out = self._make(np.sum(a.value))
-
-        def back():
-            if out.grad is not None:
-                _acc(a, np.broadcast_to(out.grad, a.value.shape))
-
-        self._record(back)
-        return out
-
-    def rows(self, a: Tensor, idx) -> Tensor:
-        """Gather rows a[idx]; duplicate indices accumulate in backward."""
-        idx = np.asarray(idx, dtype=np.intp)
-        out = self._make(a.value[idx])
-
-        def back():
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.value)
-            np.add.at(g, idx, out.grad)
-            _acc(a, g)
 
         self._record(back)
         return out

@@ -189,6 +189,8 @@ def _segment_one(model, wav_path, out_dir, k, textgrid) -> Path:
 
 
 def cmd_segment(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ConfigError("--k must be >= 1")
     cfg = _load_config(args)
     if (args.wav is None) == (args.manifest is None):
         raise ConfigError("provide exactly one of --wav or --manifest")
@@ -212,6 +214,8 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     data = cfg["data"]
     tolerance = args.tolerance if args.tolerance is not None else cfg["eval"]["tolerance"]
+    if not tolerance >= 0:  # NaN fails too
+        raise ConfigError("--tolerance must be >= 0")
     manifest = read_manifest(args.manifest, data["sample_rate"], data["annotation_unit"])
     entries = manifest.entries if args.split is None else manifest.split(args.split)
     if not entries:

@@ -8,6 +8,7 @@ sections or keys are rejected up front.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -175,7 +176,13 @@ def load_run_config(path=None, env=None) -> RunConfig:
     cfg.feature_config()
     cfg.model_config(input_dim=cfg.feature_config().feature_dim)
     cfg.train_config()
-    if values["data"]["annotation_unit"] not in ("samples", "seconds"):
+    data = values["data"]
+    if data["sample_rate"] < 1:
+        raise ConfigError("sample_rate must be >= 1")
+    # written so that NaN fails each check
+    if not (0 <= data["min_nonspeech_ms"] < math.inf and 0 <= data["max_lead_ms"] < math.inf):
+        raise ConfigError("min_nonspeech_ms and max_lead_ms must be >= 0 and finite")
+    if data["annotation_unit"] not in ("samples", "seconds"):
         raise ConfigError("annotation_unit must be 'samples' or 'seconds'")
     if not 0.0 <= values["train"]["val_fraction"] < 1.0:
         raise ConfigError("val_fraction must be in [0, 1)")

@@ -7,6 +7,7 @@ their deltas and delta-deltas, plus the Euclidean distances between the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,15 @@ class FeatureConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.frame_shift <= 0 or self.window_length <= 0:
-            raise ValueError("frame_shift and window_length must be positive")
+        # written so that NaN fails each check
+        if not (0 < self.frame_shift < math.inf and 0 < self.window_length < math.inf):
+            raise ValueError("frame_shift and window_length must be positive and finite")
+        if self.n_mfcc < 1:
+            raise ValueError("n_mfcc must be >= 1")
         if self.n_mfcc > self.n_mel_filters:
             raise ValueError("n_mfcc cannot exceed n_mel_filters")
+        if self.n_fft is not None and self.n_fft < 1:
+            raise ValueError("n_fft must be >= 1")
         js = tuple(int(j) for j in self.spectral_js)
         if any(j <= 0 for j in js) or any(b <= a for a, b in zip(js, js[1:])):
             raise ValueError("spectral_js must be strictly increasing and positive")

@@ -6,7 +6,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .decode import dp_two_best
-from .model import ScoreContext, SegmentalModel, Segmentation, score_segmentation
+from .model import (ScoreContext, SegmentalModel, Segmentation, score_segmentation,
+                    score_segmentation_grad)
 
 
 def hinge_loss(ctx: ScoreContext, model: SegmentalModel, gold: Segmentation,
@@ -15,22 +16,32 @@ def hinge_loss(ctx: ScoreContext, model: SegmentalModel, gold: Segmentation,
 
     The competitor is the DP argmax, or the exact runner-up when the argmax
     equals the gold segmentation. Utterances with a single candidate (no
-    competitor exists) contribute zero loss.
+    competitor exists) contribute zero loss. The loss is one tape node:
+    its value comes from the two canonical scores, and when the hinge is
+    active its backward adds the competitor's score gradient, then minus
+    the gold's.
     """
     if gold.n_frames != ctx.n_frames:
         raise ValueError("gold segmentation length does not match context")
     tape = ctx.tape
-    candidates = dp_two_best(ctx, model, max_seg_frames)
-    competitor = None
-    for seg, _ in candidates:
-        if seg != gold:
-            competitor = seg
-            break
+    competitor = next((seg for seg, _ in dp_two_best(ctx, model, max_seg_frames)
+                       if seg != gold), None)
     if competitor is None:
-        return tape.scale(tape.tensor(np.zeros(())), 1.0)
-    gold_score = score_segmentation(ctx, model, gold, on_tape=True)
-    comp_score = score_segmentation(ctx, model, competitor, on_tape=True)
-    return tape.relu(tape.add_const(tape.sub(comp_score, gold_score), 1.0))
+        return tape.tensor(np.zeros(()))
+    margin = (score_segmentation(ctx, model, competitor)
+              - score_segmentation(ctx, model, gold)) + 1.0
+    active = margin > 0.0
+    out = tape._make(margin if active else 0.0)
+
+    def back():
+        g = out.grad
+        if g is None or not active:
+            return
+        score_segmentation_grad(ctx, model, competitor, g)
+        score_segmentation_grad(ctx, model, gold, -g)
+
+    tape._record(back)
+    return out
 
 
 def frame_labels_from(gold: Segmentation, phonemes) -> np.ndarray:

@@ -20,7 +20,7 @@ class TolerancePolicy:
     tolerance: float = 0.020  # seconds
 
     def __post_init__(self):
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # NaN fails too
             raise ValueError("tolerance must be >= 0")
 
 

@@ -12,12 +12,13 @@ as Q[e] - Q[s] + b1, and no span ever materializes its 2H-wide sum.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .autodiff import ParameterSet, Tape, Tensor
+from .autodiff import ParameterSet, Tape, Tensor, _acc
 from .features import FeatureConfig, FeatureStats, FrameMatrix
 from .nn import bilstm_encode, init_affine, init_lstm, mlp2
 
@@ -76,6 +77,8 @@ class ModelConfig:
         self.inventory = tuple(self.inventory)
         if self.hidden_size < 1 or self.num_layers < 1:
             raise ValueError("hidden_size and num_layers must be >= 1")
+        if not math.isfinite(self.forget_bias):
+            raise ValueError("forget_bias must be finite")
 
 
 class SegmentalModel:
@@ -251,7 +254,7 @@ class ScoreContext:
     """Per-utterance cache: hidden states, unary scores, and prefix sums.
 
     Immutable after construction; the tape it was built on is kept so that
-    selected segmentation scores can be re-expressed for backpropagation.
+    the hinge can record its node there, whose backward reaches unary and q.
     """
 
     tape: Tape
@@ -294,8 +297,24 @@ def build_context(model: SegmentalModel, features, tape: Tape | None = None) -> 
     return context_from_hidden(tape, model, hidden)
 
 
-# The numpy and tape bigram paths below perform the same float operations in
-# the same order, so an on-tape score equals its numpy twin bit for bit.
+def _bigram_hidden(ctx: ScoreContext, model: SegmentalModel, starts, ends) -> np.ndarray:
+    """The bigram head's tanh layer over (start, end) pairs, n x H.
+
+    `ends` may be a scalar, which broadcasts over `starts` (one DP column).
+    This is the one forward that the scores and their gradient share.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
+    # in place on the one n x H buffer the gather allocates: a DP sweep calls
+    # this once per column, and fresh temporaries per op cost a third more time
+    x = ctx.q_np[starts]
+    np.subtract(ctx.q_np[ends], x, out=x)
+    if model.cfg.mean_bigram:
+        x *= (1.0 / (ends - starts))[:, None]
+    x += model.head_bigram[1].value
+    np.tanh(x, out=x)
+    return x
+
 
 def bigram_scores_np(ctx: ScoreContext, model: SegmentalModel,
                      starts, ends) -> np.ndarray:
@@ -303,85 +322,63 @@ def bigram_scores_np(ctx: ScoreContext, model: SegmentalModel,
 
     `ends` may be a scalar, which broadcasts over `starts` (one DP column).
     """
-    starts = np.asarray(starts, dtype=np.intp)
-    ends = np.asarray(ends, dtype=np.intp)
-    _, b1, w2, b2 = model.head_bigram
-    # in place on the one n x H buffer the gather allocates: a DP sweep calls
-    # this once per column, and fresh temporaries per op cost a third more time
-    x = ctx.q_np[starts]
-    np.subtract(ctx.q_np[ends], x, out=x)
-    if model.cfg.mean_bigram:
-        x *= (1.0 / (ends - starts))[:, None]
-    x += b1.value
-    np.tanh(x, out=x)
-    return (x @ w2.value + b2.value)[:, 0]
+    _, _, w2, b2 = model.head_bigram
+    return (_bigram_hidden(ctx, model, starts, ends) @ w2.value + b2.value)[:, 0]
 
 
-def _bigram_scores_tape(ctx: ScoreContext, model: SegmentalModel,
-                        starts: np.ndarray, ends: np.ndarray) -> Tensor:
-    """On-tape twin of bigram_scores_np for index arrays; returns n x 1."""
-    tape = ctx.tape
-    _, b1, w2, b2 = model.head_bigram
-    x = tape.sub(tape.rows(ctx.q, ends), tape.rows(ctx.q, starts))
-    if model.cfg.mean_bigram:
-        inv = np.broadcast_to((1.0 / (ends - starts))[:, None], x.value.shape)
-        x = tape.mul(x, tape.tensor(inv.copy()))
-    return tape.affine(tape.tanh(tape.add(x, b1)), w2, b2)
-
-
-def bigram_score(ctx: ScoreContext, model: SegmentalModel, s: int, e: int,
-                 on_tape: bool = False):
-    """Score of the single segment covering frames [s, e)."""
-    if not (0 <= s < e <= ctx.n_frames):
-        raise ValueError(f"invalid span ({s}, {e}) for T={ctx.n_frames}")
-    if not on_tape:
-        return float(bigram_scores_np(ctx, model, [s], [e])[0])
-    span = _bigram_scores_tape(ctx, model, np.array([s], dtype=np.intp),
-                               np.array([e], dtype=np.intp))
-    return ctx.tape.sum(span)
-
-
-def _scored_spans(seg: Segmentation, model: SegmentalModel):
-    spans = seg.spans()
-    if not model.cfg.include_end_spans:
-        spans = spans[1:-1] if len(spans) >= 2 else []
-    return spans
-
-
-def score_segmentation(ctx: ScoreContext, model: SegmentalModel, seg: Segmentation,
-                       on_tape: bool = False):
-    """Sum of unary scores at interior boundaries plus bigram scores per span.
-
-    Returns a float, or a scalar Tensor on the context's tape when on_tape is
-    set (used to backpropagate through the scores of chosen segmentations).
-    """
+def _score_terms(ctx: ScoreContext, model: SegmentalModel, seg: Segmentation):
+    """Interior boundaries, and the starts and ends of the spans a score counts
+    (without end spans, only those between two interior boundaries)."""
     if seg.n_frames != ctx.n_frames:
         raise ValueError(f"segmentation is for T={seg.n_frames}, context has T={ctx.n_frames}")
-    spans = _scored_spans(seg, model)
-    bounds = np.asarray(seg.boundaries, dtype=np.intp)
+    bounds = np.array(seg.boundaries, dtype=np.intp)
+    edges = bounds
+    if model.cfg.include_end_spans:
+        edges = np.array((0,) + seg.boundaries + (seg.n_frames,), dtype=np.intp)
+    return bounds, edges[:-1], edges[1:]
 
-    if not on_tape:
-        total = float(ctx.unary_np[bounds].sum()) if bounds.size else 0.0
-        if spans:
-            starts = np.array([s for s, _ in spans], dtype=np.intp)
-            ends = np.array([e for _, e in spans], dtype=np.intp)
-            total += float(bigram_scores_np(ctx, model, starts, ends).sum())
-        return total
 
-    tape = ctx.tape
-    parts = []
-    if bounds.size:
-        parts.append(tape.sum(tape.rows(ctx.unary, bounds)))
-    if spans:
-        starts = np.array([s for s, _ in spans], dtype=np.intp)
-        ends = np.array([e for _, e in spans], dtype=np.intp)
-        parts.append(tape.sum(_bigram_scores_tape(ctx, model, starts, ends)))
-    if not parts:
-        return tape.scale(tape.tensor(np.zeros(())), 1.0)
-    total = parts[0]
-    for p in parts[1:]:
-        total = tape.add(total, p)
+def score_segmentation(ctx: ScoreContext, model: SegmentalModel, seg: Segmentation) -> float:
+    """Sum of unary scores at interior boundaries plus bigram scores per span."""
+    bounds, starts, ends = _score_terms(ctx, model, seg)
+    total = float(ctx.unary_np[bounds].sum()) if bounds.size else 0.0
+    if starts.size:
+        total += float(bigram_scores_np(ctx, model, starts, ends).sum())
     return total
+
+
+def score_segmentation_grad(ctx: ScoreContext, model: SegmentalModel, seg: Segmentation,
+                            g) -> None:
+    """Add g times the gradient of score_segmentation into the grads of
+    ctx.unary, ctx.q and the bigram head's b1, w2 and b2.
+
+    The float operations and their order are those of the scorer composed
+    from generic tape ops (row gathers, sub, mul, add, tanh, affine, sum),
+    which the tests keep as the reference, so the gradients equal its bytes.
+    """
+    bounds, starts, ends = _score_terms(ctx, model, seg)
+    if starts.size:
+        _, b1, w2, b2 = model.head_bigram
+        x = _bigram_hidden(ctx, model, starts, ends)
+        gy = np.full((starts.size, 1), g)
+        gz = (gy @ w2.value.T) * (1.0 - x * x)
+        _acc(w2, x.T @ gy)
+        _acc(b2, gy.sum(axis=0, keepdims=True))
+        _acc(b1, gz.sum(axis=0, keepdims=True))
+        if model.cfg.mean_bigram:
+            gz *= (1.0 / (ends - starts))[:, None]
+        _acc_rows(ctx.q, starts, -gz)
+        _acc_rows(ctx.q, ends, gz)
+    if bounds.size:
+        _acc_rows(ctx.unary, bounds, np.full((bounds.size, 1), g))
+
+
+def _acc_rows(t: Tensor, idx: np.ndarray, g: np.ndarray):
+    """Add g into the rows idx of t's grad through a zero-filled full-size
+    array, as a row gather's backward does (so signed zeros match it too)."""
+    full = np.zeros_like(t.value)
+    np.add.at(full, idx, g)
+    _acc(t, full)
 
 
 def phoneme_logits(ctx: ScoreContext, model: SegmentalModel) -> Tensor:

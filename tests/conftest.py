@@ -21,10 +21,10 @@ def mlp2_np(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     return np.tanh(x @ w1.value + b1.value) @ w2.value + b2.value
 
 
-def random_context(model, n_frames, rng, scale=2.0):
+def random_context(model, n_frames, rng, scale=2.0, tape_cls=Tape):
     """Context with injected random hidden states: a random score instance."""
     hidden = rng.normal(size=(n_frames, 2 * model.cfg.hidden_size)) * scale
-    tape = Tape()
+    tape = tape_cls()
     return context_from_hidden(tape, model, tape.tensor(hidden))
 
 

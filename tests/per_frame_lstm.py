@@ -2,7 +2,8 @@
 
 `PerFrameTape.lstm` records one direction frame by frame: a batched input
 projection, then per frame a row gather, the h @ wh product, their sum and
-one gate node. `PerFrameTape.bilstm` runs the two directions one after the
+one gate node (the row gather and the other generic ops come from
+`ReferenceTape`). `PerFrameTape.bilstm` runs the two directions one after the
 other and joins them with `hstack`. Every op keeps its own generic
 backward, so this is the independent oracle for the hand-written BPTT, as
 `brute_force_segment` is for the DP. `bilstm_encode(PerFrameTape(), ...)`
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from segfeat.autodiff import Tape, Tensor, _acc, _sigmoid
+from segfeat.autodiff import Tensor, _acc, _sigmoid
+
+from reference_tape import ReferenceTape
 
 
-class PerFrameTape(Tape):
+class PerFrameTape(ReferenceTape):
     """A Tape whose `bilstm` records four nodes per frame and direction."""
 
     def bilstm(self, x: Tensor, fw, bw) -> Tensor:

@@ -103,6 +103,24 @@ def test_config_out_of_range_training_value_rejected(tmp_path, section, key, val
         load_run_config(path, env={})
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("features", "frame_shift", "nan"),
+    ("features", "window_length", "nan"),
+    ("features", "n_fft", "0"),
+    ("features", "n_mfcc", "0"),
+    ("model", "forget_bias", "nan"),
+    ("model", "forget_bias", "inf"),
+    ("data", "sample_rate", "0"),
+    ("data", "min_nonspeech_ms", "nan"),
+    ("data", "max_lead_ms", "-5"),
+])
+def test_config_out_of_range_value_outside_training_rejected(tmp_path, section, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(path, env={})
+
+
 def test_config_range_edges_accepted(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[train]\nmax_seg_frames = 1\ngrad_clip = 0\nbeta1 = 0\n"
@@ -235,6 +253,42 @@ def test_train_rejects_negative_tolerance_before_training(tmp_path, corpus_dir, 
     assert rc == EXIT_CONFIG
     assert "training on" not in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_features_rejects_nan_frame_shift_before_any_work(tmp_path, corpus_dir, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[features]\nframe_shift = nan\n")
+    out = tmp_path / "o"
+    rc = main(["features", "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_CONFIG
+    assert "frame_shift" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_nan_forget_bias_before_training(tmp_path, corpus_dir, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CFG_SMALL.replace("[model]\n", "[model]\nforget_bias = nan\n"))
+    out = tmp_path / "o"
+    rc = main(["train", "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_CONFIG
+    assert "training on" not in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["eval", "--tolerance", "nan"], id="eval-tolerance-nan"),
+    pytest.param(["eval", "--tolerance", "-1"], id="eval-tolerance-negative"),
+    pytest.param(["segment", "--k", "0"], id="segment-k-0"),
+])
+def test_bad_flag_value_exits_2_before_reading_inputs(tmp_path, capsys, flags):
+    # every input path is missing, which exits 3 once the command reads one
+    missing = str(tmp_path / "missing")
+    inputs = {"eval": ["--pred", missing, "--manifest", missing],
+              "segment": ["--model", missing, "--wav", missing, "--out", missing]}
+    assert main(flags + inputs[flags[0]]) == EXIT_CONFIG
+    assert flags[1] in capsys.readouterr().err
 
 
 def test_segment_reproduces_validation_segmentations(tmp_path, corpus_dir, monkeypatch):

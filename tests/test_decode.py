@@ -10,6 +10,7 @@ from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k, dp_two
 from segfeat.model import Segmentation, bigram_scores_np, score_segmentation
 
 from conftest import mlp2_np, random_context, small_model, toy_context
+from reference_tape import ReferenceTape, composed_score
 
 
 def test_dp_toy(toy_model):
@@ -239,7 +240,8 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 def _instance(flags, t_total, seed):
     model = small_model(seed=seed % 1000, **flags)
-    return model, random_context(model, t_total, np.random.default_rng(seed))
+    return model, random_context(model, t_total, np.random.default_rng(seed),
+                                 tape_cls=ReferenceTape)
 
 
 def _ranked(ctx, model, cap=None):
@@ -285,8 +287,7 @@ def test_property_projected_scores_match_unfactored_reference(flags, t_total, se
     model, ctx = _instance(flags, t_total, seed)
     bounds = data.draw(st.sets(st.integers(1, t_total - 1)) if t_total > 1 else st.just(set()))
     seg = Segmentation(sorted(bounds), t_total)
-    assert score_segmentation(ctx, model, seg, on_tape=True).item() == \
-        score_segmentation(ctx, model, seg)
+    assert composed_score(ctx, model, seg).item() == score_segmentation(ctx, model, seg)
 
     starts, ends = np.triu_indices(t_total + 1, k=1)
     x = ctx.prefix.value[ends] - ctx.prefix.value[starts]

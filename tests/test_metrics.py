@@ -164,6 +164,8 @@ def test_report_formats():
 def test_tolerance_policy_validation():
     with pytest.raises(ValueError):
         TolerancePolicy(-0.01)
+    with pytest.raises(ValueError):
+        TolerancePolicy(float("nan"))
 
 
 # ----- invariants ------------------------------------------------------------

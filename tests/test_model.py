@@ -3,11 +3,12 @@ import pytest
 
 from segfeat.autodiff import Tape
 from segfeat.features import FeatureStats
-from segfeat.model import (MODEL_MAGIC, SegmentalModel, Segmentation, bigram_score,
+from segfeat.model import (MODEL_MAGIC, SegmentalModel, Segmentation, bigram_scores_np,
                            boundary_logits, build_context, context_from_hidden,
                            phoneme_logits, score_segmentation)
 
 from conftest import edit_model_header, mlp2_np, random_context, small_model, toy_context
+from reference_tape import ReferenceTape, composed_score
 
 
 def test_segmentation_invariants():
@@ -65,13 +66,9 @@ def test_zero_unary_head_gives_bias():
 
 def test_bigram_score_spans(toy_model):
     ctx = toy_context(toy_model, 2)
-    assert bigram_score(ctx, toy_model, 0, 2) == pytest.approx(0.5)
-    assert bigram_score(ctx, toy_model, 0, 1) == pytest.approx(0.0)
-    assert bigram_score(ctx, toy_model, 1, 2) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        bigram_score(ctx, toy_model, 1, 1)
-    with pytest.raises(ValueError):
-        bigram_score(ctx, toy_model, 0, 3)
+    assert bigram_scores_np(ctx, toy_model, [0], [2])[0] == pytest.approx(0.5)
+    assert bigram_scores_np(ctx, toy_model, [0], [1])[0] == pytest.approx(0.0)
+    assert bigram_scores_np(ctx, toy_model, [1], [2])[0] == pytest.approx(0.0)
 
 
 def test_bigram_single_frame_and_full_span():
@@ -81,9 +78,9 @@ def test_bigram_single_frame_and_full_span():
     # e = s+1 consumes exactly hidden[s]
     for s in range(6):
         want = mlp2_np(ctx.hidden_np[s:s + 1], *model.head_bigram)[0, 0]
-        assert bigram_score(ctx, model, s, s + 1) == pytest.approx(want, abs=1e-12)
+        assert bigram_scores_np(ctx, model, [s], [s + 1])[0] == pytest.approx(want, abs=1e-12)
     want = mlp2_np(ctx.hidden_np.sum(axis=0, keepdims=True), *model.head_bigram)[0, 0]
-    assert bigram_score(ctx, model, 0, 6) == pytest.approx(want, abs=1e-9)
+    assert bigram_scores_np(ctx, model, [0], [6])[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_bigram_argument_additivity():
@@ -103,12 +100,11 @@ def test_score_segmentation_toy(toy_model):
 def test_score_segmentation_tape_matches_plain():
     model = small_model()
     rng = np.random.default_rng(4)
-    ctx = random_context(model, 8, rng)
+    ctx = random_context(model, 8, rng, tape_cls=ReferenceTape)
     for bounds in [(), (3,), (1, 4, 6), (2, 5)]:
         seg = Segmentation(bounds, 8)
         plain = score_segmentation(ctx, model, seg)
-        taped = score_segmentation(ctx, model, seg, on_tape=True)
-        assert plain == pytest.approx(taped.item(), abs=1e-9)
+        assert plain == composed_score(ctx, model, seg).item()
         again = score_segmentation(ctx, model, seg)
         assert plain == again  # bit-identical recomputation
 
@@ -200,25 +196,25 @@ def test_shared_head_mode():
 
 def test_mean_bigram_mode():
     model = small_model(mean_bigram=True)
-    ctx = random_context(model, 6, np.random.default_rng(11))
+    ctx = random_context(model, 6, np.random.default_rng(11), tape_cls=ReferenceTape)
     want = mlp2_np((ctx.prefix.value[6] - ctx.prefix.value[0])[None, :] / 6.0,
                    *model.head_bigram)[0, 0]
-    assert bigram_score(ctx, model, 0, 6) == pytest.approx(want, abs=1e-12)
-    taped = bigram_score(ctx, model, 0, 6, on_tape=True)
+    assert bigram_scores_np(ctx, model, [0], [6])[0] == pytest.approx(want, abs=1e-12)
+    # one segment, no boundary: the composed score is the span's bigram score
+    taped = composed_score(ctx, model, Segmentation((), 6))
     assert taped.item() == pytest.approx(want, abs=1e-9)
 
 
 def test_exclude_end_spans_mode():
     model = small_model(include_end_spans=False)
-    ctx = random_context(model, 6, np.random.default_rng(12))
+    ctx = random_context(model, 6, np.random.default_rng(12), tape_cls=ReferenceTape)
     # single segment: nothing is scored
     assert score_segmentation(ctx, model, Segmentation((), 6)) == 0.0
     # with boundaries: unary terms plus interior spans only
     seg = Segmentation((2, 4), 6)
-    want = ctx.unary_np[[2, 4]].sum() + bigram_score(ctx, model, 2, 4)
+    want = ctx.unary_np[[2, 4]].sum() + bigram_scores_np(ctx, model, [2], [4])[0]
     assert score_segmentation(ctx, model, seg) == pytest.approx(want, abs=1e-9)
-    taped = score_segmentation(ctx, model, Segmentation((), 6), on_tape=True)
-    assert taped.item() == 0.0
+    assert composed_score(ctx, model, Segmentation((), 6)).item() == 0.0
 
 
 def test_model_serialization_roundtrip(tmp_path):
@@ -264,6 +260,10 @@ def _rename_first_param(header):
                  id="model-int-for-bool"),
     pytest.param(lambda header: header["features"].update(n_fft=512.0), "n_fft",
                  id="features-float-for-int"),
+    pytest.param(lambda header: header["features"].update(frame_shift=float("nan")),
+                 "frame_shift", id="features-nan-frame-shift"),
+    pytest.param(lambda header: header["model"].update(forget_bias=float("inf")),
+                 "forget_bias", id="model-infinite-forget-bias"),
 ])
 def test_model_load_rejects_malformed_header(tmp_path, edit, message):
     path = tmp_path / "m.bin"
