@@ -114,9 +114,7 @@ class Tape:
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.value, b.value
         if av.shape != bv.shape:
-            # allow a row-vector bias broadcast over rows
-            if not (av.ndim == 2 and bv.shape == (1, av.shape[1])):
-                raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
+            raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
         out = self._make(av + bv)
 
         def back():
@@ -124,7 +122,7 @@ class Tape:
             if g is None:
                 return
             _acc(a, g)
-            _acc(b, g if bv.shape == g.shape else g.sum(axis=0, keepdims=True))
+            _acc(b, g)
 
         self._record(back)
         return out
@@ -231,10 +229,7 @@ class Tape:
             gx = np.empty((2, 1, 4 * hdim))
             gx4 = gx.reshape(2, 1, 4, hdim)
             gpre = np.empty_like(gx)
-            # accumulated in place from the existing grads; a wh without one
-            # starts from zeros, as ParameterSet's do
-            gwh = np.stack([np.zeros_like(w.value) if w.grad is None else w.grad
-                            for w in (fw[1], bw[1])])
+            gwh = np.stack([fw[1].grad, bw[1].grad])  # accumulated onto the existing grads
             outer = np.empty_like(gwh)
             gc = np.zeros((2, 1, hdim))
             for k in range(tsteps - 1, -1, -1):
@@ -251,7 +246,7 @@ class Tape:
                 # h_prev.T @ G would sum in another order
                 gwh += np.einsum("kxi,kxj->kij", hs[k], gpre, out=outer)
                 gc *= f[k]
-            fw[1].grad, bw[1].grad = gwh
+            fw[1].grad[...], bw[1].grad[...] = gwh
             for (wx, _, b), gxpre in ((bw, gxp[::-1, 1, 0]), (fw, gxp[:, 0, 0])):
                 gxpre = np.ascontiguousarray(gxpre)  # frame order, as a 2-D scan sums it
                 _acc(x, gxpre @ wx.value.T)
@@ -323,18 +318,29 @@ def _sigmoid(x):
 
 
 class ParameterSet:
-    """Named, insertion-ordered collection of trainable tensors."""
+    """Named, insertion-ordered trainable tensors whose values and grads are
+    views into two flat buffers, `values` and `grads`, in name order. Code
+    that changes a parameter writes into its arrays and never rebinds them."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
 
     def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.array(value, dtype=np.float64))
-        t.grad = np.zeros_like(t.value)
-        self._params[name] = t
-        return t
+        value = np.asarray(value, dtype=np.float64)
+        self.values = np.concatenate([self.values, value.reshape(-1)])
+        self.grads = np.concatenate([self.grads, np.zeros(value.size)])
+        self._params[name] = new = Tensor(value)
+        start = 0
+        for t in self._params.values():  # the buffers moved: rebind every view
+            end = start + t.value.size
+            t.value = self.values[start:end].reshape(t.value.shape)
+            t.grad = self.grads[start:end].reshape(t.value.shape)
+            start = end
+        return new
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -355,17 +361,13 @@ class ParameterSet:
         return self._params.values()
 
     def zero_grad(self):
-        for t in self._params.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.value)
-            else:
-                t.grad.fill(0.0)
+        self.grads.fill(0.0)
 
     def grad_norm(self) -> float:
+        # per tensor in name order: one sum over the buffer would round otherwise
         total = 0.0
         for t in self._params.values():
-            if t.grad is not None:
-                total += float(np.sum(t.grad * t.grad))
+            total += float(np.sum(t.grad * t.grad))
         return float(np.sqrt(total))
 
     def copy_values(self) -> dict:
@@ -376,7 +378,7 @@ class ParameterSet:
             v = np.asarray(values[k], dtype=np.float64)
             if v.shape != t.value.shape:
                 raise ValueError(f"shape mismatch for {k}: {v.shape} vs {t.value.shape}")
-            t.value = v.copy()
+            t.value[...] = v
 
 
 def grad_check(build_loss, params: ParameterSet, eps: float = 1e-5) -> float:
@@ -390,21 +392,19 @@ def grad_check(build_loss, params: ParameterSet, eps: float = 1e-5) -> float:
     params.zero_grad()
     loss = build_loss(tape)
     tape.backward(loss)
-    analytic = {k: t.grad.copy() for k, t in params.items()}
+    analytic = params.grads.copy()
     params.zero_grad()
 
     worst = 0.0
-    for name, t in params.items():
-        flat = t.value.reshape(-1)
-        aflat = analytic[name].reshape(-1)
-        for j in range(flat.size):
-            v0 = flat[j]
-            flat[j] = v0 + eps
-            fp = float(build_loss(Tape()).value)
-            flat[j] = v0 - eps
-            fm = float(build_loss(Tape()).value)
-            flat[j] = v0
-            numeric = (fp - fm) / (2.0 * eps)
-            err = abs(aflat[j] - numeric) / max(1e-8, abs(aflat[j]) + abs(numeric))
-            worst = max(worst, err)
+    flat = params.values
+    for j in range(flat.size):
+        v0 = flat[j]
+        flat[j] = v0 + eps
+        fp = float(build_loss(Tape()).value)
+        flat[j] = v0 - eps
+        fm = float(build_loss(Tape()).value)
+        flat[j] = v0
+        numeric = (fp - fm) / (2.0 * eps)
+        err = abs(analytic[j] - numeric) / max(1e-8, abs(analytic[j]) + abs(numeric))
+        worst = max(worst, err)
     return worst

@@ -12,12 +12,13 @@ from pathlib import Path
 
 from .audio import MalformedWavError, UnsupportedCodecError, read_wav
 from .config import ConfigError, load_run_config
-from .data import (LabeledUtterance, SynthConfig, load_corpus, read_annotation,
-                   read_boundaries_csv, read_manifest, split_nonspeech, split_train_val,
-                   synth_corpus, write_boundaries_csv, write_synth_corpus, write_textgrid)
+from .data import (SynthConfig, load_corpus, read_annotation, read_boundaries_csv,
+                   read_manifest, split_nonspeech, split_train_val, synth_corpus,
+                   write_boundaries_csv, write_synth_corpus, write_textgrid,
+                   zscore_utterances)
 from .decode import dp_segment, dp_segment_k
-from .features import (apply_stats, assemble_features, corpus_stats, write_features_bin,
-                       write_features_csv, write_stats)
+from .features import (assemble_features, corpus_stats, write_features_bin, write_features_csv,
+                       write_stats)
 from .metrics import TolerancePolicy, evaluate_times
 from .model import SegmentalModel, build_context
 from .train import fit, validate_model, write_epoch_logs
@@ -119,10 +120,7 @@ def _prepare_training_data(cfg, manifest):
 
     stats = corpus_stats([u.features for u in train])
     if fcfg.normalize:
-        def norm(utts):
-            return [LabeledUtterance(u.key, apply_stats(u.features, stats),
-                                     u.gold, u.phonemes) for u in utts]
-        train, val = norm(train), norm(val)
+        train, val = zscore_utterances(train, stats), zscore_utterances(val, stats)
     return train, val, stats, fcfg
 
 

@@ -179,6 +179,10 @@ def load_run_config(path=None, env=None) -> RunConfig:
     data = values["data"]
     if data["sample_rate"] < 1:
         raise ConfigError("sample_rate must be >= 1")
+    try:
+        cfg.feature_config().check_rate(data["sample_rate"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # written so that NaN fails each check
     if not (0 <= data["min_nonspeech_ms"] < math.inf and 0 <= data["max_lead_ms"] < math.inf):
         raise ConfigError("min_nonspeech_ms and max_lead_ms must be >= 0 and finite")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, read_wav, write_wav
-from .features import FeatureConfig, FeatureStats, FrameMatrix, assemble_features
+from .features import FeatureConfig, FeatureStats, FrameMatrix, apply_stats, assemble_features
 from .model import Segmentation
 
 NONSPEECH_SYMBOLS = ("sil", "noise", "iva")
@@ -202,6 +202,12 @@ def load_corpus(manifest: CorpusManifest, cfg: FeatureConfig,
                 stats: FeatureStats | None = None, split: str | None = None):
     entries = manifest.entries if split is None else manifest.split(split)
     return [load_utterance(e, cfg, manifest, stats) for e in entries]
+
+
+def zscore_utterances(utts, stats: FeatureStats):
+    """The utterances with their features z-scored by stats."""
+    return [LabeledUtterance(u.key, apply_stats(u.features, stats), u.gold, u.phonemes)
+            for u in utts]
 
 
 def split_nonspeech(utt: LabeledUtterance, nonspeech=NONSPEECH_SYMBOLS,

@@ -54,6 +54,14 @@ class FeatureConfig:
     def shift_samples(self, rate: int) -> int:
         return int(round(self.frame_shift * rate))
 
+    def check_rate(self, rate: int):
+        """Raise ValueError unless the shift and the window each round to at
+        least one sample at this rate."""
+        if self.shift_samples(rate) < 1 or self.window_samples(rate) < 1:
+            raise ValueError(f"frame_shift and window_length must each be at least one "
+                             f"sample at {rate} Hz, got {self.frame_shift} and "
+                             f"{self.window_length} s")
+
     def fft_size(self, rate: int) -> int:
         if self.n_fft is not None:
             return int(self.n_fft)

@@ -130,8 +130,7 @@ class SegmentalModel:
     # ----- serialization ----------------------------------------------------
 
     def save(self, path):
-        names = self.params.names()
-        manifest = [{"name": n, "shape": list(self.params[n].value.shape)} for n in names]
+        manifest = [{"name": n, "shape": list(t.value.shape)} for n, t in self.params.items()]
         stats_present = self.stats is not None
         if stats_present:
             manifest.append({"name": "featstats.mean", "shape": [int(self.stats.mean.size)]})
@@ -151,8 +150,7 @@ class SegmentalModel:
             f.write(MODEL_MAGIC)
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            for n in names:
-                f.write(np.ascontiguousarray(self.params[n].value, dtype="<f8").tobytes())
+            f.write(self.params.values.astype("<f8").tobytes())  # every block, in name order
             if stats_present:
                 f.write(np.ascontiguousarray(self.stats.mean, dtype="<f8").tobytes())
                 f.write(np.ascontiguousarray(self.stats.std, dtype="<f8").tobytes())
@@ -185,6 +183,7 @@ class SegmentalModel:
 
         feature_cfg = FeatureConfig(**_header_section(header, "features", FeatureConfig, path))
         cfg = ModelConfig(**_header_section(header, "model", ModelConfig, path))
+        feature_cfg.check_rate(cfg.sample_rate)
         stats = None
         if "featstats.mean" in blocks:
             stats = FeatureStats(blocks.pop("featstats.mean"), blocks.pop("featstats.std"))

@@ -127,7 +127,7 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
 
     Per epoch: seeded shuffle, one weighted backward per utterance, optimizer
     step per batch. Identical seeds, config, and data reproduce the parameter
-    trajectory bit-exactly (single-threaded).
+    trajectory bit-exactly under the same BLAS thread count.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -166,8 +166,7 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
         tic = time.perf_counter()
         order = rng.permutation(len(train_set))
         sums = {"segfeat": 0.0, "phn": 0.0, "bin": 0.0}
-        pending = 0
-        for i in order:
+        for seen, i in enumerate(order, 1):
             utt = train_set[i]
             tape = Tape()
             ctx = build_context(model, utt.features, tape)
@@ -189,17 +188,11 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
             if not math.isfinite(total.item()):
                 raise RuntimeError(f"non-finite loss on utterance {utt.key}")
             tape.backward(total)
-            pending += 1
-            if pending == cfg.batch_size:
+            if seen % cfg.batch_size == 0 or seen == len(order):
                 clip_grad_norm(model.params, cfg.grad_clip)
                 adam_step(model.params, state, cfg.learning_rate,
                           cfg.beta1, cfg.beta2, cfg.eps)
                 model.params.zero_grad()
-                pending = 0
-        if pending:
-            clip_grad_norm(model.params, cfg.grad_clip)
-            adam_step(model.params, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-            model.params.zero_grad()
 
         n = len(train_set)
         if val_set:

@@ -3,11 +3,12 @@
 The model records the structured hinge as one node with a hand-written
 gradient (`model.score_segmentation_grad`). `ReferenceTape` keeps the generic
 ops that the hinge used to be composed from (row gathers, `sub`, `mul`,
-`sum`, `add_const`, `relu`), each with its own backward, and
-`composed_score` and `composed_hinge_loss` rebuild the scorer and the hinge
-from them. They are the independent oracle that the one-node hinge must
-reproduce byte for byte, as `PerFrameTape` is for `Tape.bilstm`. Their
-context must be built on a `ReferenceTape`.
+`sum`, `add_const`, `relu`, and `add_row`, the bias add broadcast over
+rows), each with its own backward, and `composed_score` and
+`composed_hinge_loss` rebuild the scorer and the hinge from them. They are
+the independent oracle that the one-node hinge must reproduce byte for
+byte, as `PerFrameTape` is for `Tape.bilstm`. Their context must be built on
+a `ReferenceTape`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,23 @@ from segfeat.decode import dp_two_best
 
 class ReferenceTape(Tape):
     """A Tape with the generic ops that the model itself no longer records."""
+
+    def add_row(self, a: Tensor, b: Tensor) -> Tensor:
+        """a + b with the 1 x n row b broadcast over the rows of a."""
+        av, bv = a.value, b.value
+        if av.ndim != 2 or bv.shape != (1, av.shape[1]):
+            raise ValueError(f"add_row shape mismatch: {av.shape} + {bv.shape}")
+        out = self._make(av + bv)
+
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            _acc(a, g)
+            _acc(b, g.sum(axis=0, keepdims=True))
+
+        self._record(back)
+        return out
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape != b.value.shape:
@@ -107,7 +125,7 @@ def _bigram_scores_tape(ctx, model, starts: np.ndarray, ends: np.ndarray) -> Ten
     if model.cfg.mean_bigram:
         inv = np.broadcast_to((1.0 / (ends - starts))[:, None], x.value.shape)
         x = tape.mul(x, tape.tensor(inv.copy()))
-    return tape.affine(tape.tanh(tape.add(x, b1)), w2, b2)
+    return tape.affine(tape.tanh(tape.add_row(x, b1)), w2, b2)
 
 
 def composed_score(ctx, model, seg) -> Tensor:

@@ -11,12 +11,11 @@ import numpy as np
 from segfeat.audio import Waveform
 from segfeat.autodiff import grad_check
 from segfeat.cli import EXIT_OK, main
-from segfeat.data import (LabeledUtterance, SynthConfig, load_corpus, read_manifest,
-                          synth_corpus, write_synth_corpus)
+from segfeat.data import (SynthConfig, load_corpus, read_manifest, synth_corpus,
+                          write_synth_corpus, zscore_utterances)
 from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k
-from segfeat.features import (FeatureConfig, append_deltas, apply_stats, compute_mfcc,
-                              corpus_stats, filter_peak_freqs, mel_energies,
-                              spectral_change_features)
+from segfeat.features import (FeatureConfig, append_deltas, compute_mfcc, corpus_stats,
+                              filter_peak_freqs, mel_energies, spectral_change_features)
 from segfeat.losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
 from segfeat.metrics import report_from_counts
 from segfeat.model import (ModelConfig, SegmentalModel, Segmentation, boundary_logits,
@@ -261,12 +260,8 @@ def _a5_corpus(tmp_path):
     val = load_corpus(manifest, fcfg, split="val")
     test = load_corpus(manifest, fcfg, split="test")
     stats = corpus_stats([u.features for u in train])
-
-    def norm(utts):
-        return [LabeledUtterance(u.key, apply_stats(u.features, stats), u.gold, u.phonemes)
-                for u in utts]
-
-    return norm(train), norm(val), norm(test), fcfg
+    return (zscore_utterances(train, stats), zscore_utterances(val, stats),
+            zscore_utterances(test, stats), fcfg)
 
 
 def _a5_run(train, val, test, fcfg, losses):

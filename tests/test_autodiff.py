@@ -118,8 +118,8 @@ def _primitive_cases(rng):
          lambda t, p: t.sum(t.tanh(t.affine(p["x"], p["w"], p["b"]))))
     case("add", {"a": (3, 2), "b": (3, 2)},
          lambda t, p: t.sum(t.tanh(t.add(p["a"], p["b"]))))
-    case("add_bias", {"a": (3, 2), "b": (1, 2)},
-         lambda t, p: t.sum(t.tanh(t.add(p["a"], p["b"]))))
+    case("add_row", {"a": (3, 2), "b": (1, 2)},
+         lambda t, p: t.sum(t.tanh(t.add_row(p["a"], p["b"]))))
     case("sub", {"a": (2, 3), "b": (2, 3)},
          lambda t, p: t.sum(t.tanh(t.sub(p["a"], p["b"]))))
     case("mul", {"a": (2, 3), "b": (2, 3)},
@@ -382,3 +382,59 @@ def test_every_public_tape_method_has_a_call_site_in_the_package():
     public = {name for name, value in vars(Tape).items()
               if callable(value) and not name.startswith("_")}
     assert public - {"backward", "tensor"} - calls.names == set()
+
+
+class _AttributeAssignments(ast.NodeVisitor):
+    """(enclosing class or function, attribute) for each `x.value = ...` or
+    `x.grad = ...`, tuple targets included. `+=` on an array is in place and
+    keeps the array, so augmented assignments are not collected."""
+
+    def __init__(self):
+        self.scope = []
+        self.found = set()
+
+    def _visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _visit_scope
+
+    def _targets(self, target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from self._targets(elt)
+        elif isinstance(target, ast.Starred):
+            yield from self._targets(target.value)
+        else:
+            yield target
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            for t in self._targets(target):
+                if isinstance(t, ast.Attribute) and t.attr in ("value", "grad"):
+                    self.found.add((".".join(self.scope), t.attr))
+        self.generic_visit(node)
+
+
+def test_only_tensor_and_parameter_set_rebind_value_and_grad():
+    """A parameter's value and grad are views of ParameterSet's buffers, so
+    code that changes one writes into it; a rebinding would detach the view
+    and the optimizer would silently stop updating that parameter. Only
+    Tensor.__init__ and ParameterSet bind them, and only the gradient sinks
+    of non-parameters (`_acc` on a tensor without a grad, the loss seed in
+    Tape.backward) bind a grad."""
+    found = _AttributeAssignments()
+    for path in sorted(Path(segfeat.__file__).parent.glob("*.py")):
+        found.visit(ast.parse(path.read_text(encoding="utf-8")))
+    allowed = {("Tensor.__init__", "value"), ("Tensor.__init__", "grad"),
+               ("ParameterSet.add", "value"), ("ParameterSet.add", "grad"),
+               ("_acc", "grad"), ("Tape.backward", "grad")}
+    assert found.found - allowed == set()
+    assert ("ParameterSet.add", "value") in found.found  # the scan sees the binding sites
+
+
+def test_add_rejects_mismatched_shapes():
+    t = Tape()
+    with pytest.raises(ValueError, match="add shape mismatch"):
+        t.add(t.tensor(np.ones((3, 2))), t.tensor(np.ones((1, 2))))

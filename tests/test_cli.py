@@ -266,6 +266,17 @@ def test_features_rejects_nan_frame_shift_before_any_work(tmp_path, corpus_dir, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["FRAME_SHIFT", "WINDOW_LENGTH"])
+def test_features_rejects_sub_sample_shift_or_window(tmp_path, corpus_dir, capsys,
+                                                     monkeypatch, key):
+    monkeypatch.setenv(f"SEGFEAT_FEATURES_{key}", "0.00001")  # 0.16 samples at 16 kHz
+    out = tmp_path / "o"
+    rc = main(["features", "--manifest", str(corpus_dir / "manifest.csv"), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "one sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_nan_forget_bias_before_training(tmp_path, corpus_dir, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CFG_SMALL.replace("[model]\n", "[model]\nforget_bias = nan\n"))
@@ -412,6 +423,20 @@ def test_segment_rejects_bad_model_header_key(tmp_path, corpus_dir, trained_dir,
     assert _segment_with_model(tmp_path, corpus_dir, bad) == EXIT_DATA
     err = capsys.readouterr().err
     assert key in err and section in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("features", "frame_shift", 0.00001),
+    ("features", "window_length", 0.00001),
+    ("model", "sample_rate", 40),
+])
+def test_segment_rejects_sub_sample_shift_or_window_in_model_header(
+        tmp_path, corpus_dir, trained_dir, capsys, section, key, value):
+    bad = tmp_path / "header.bin"
+    edit_model_header(trained_dir / "model_best.bin", bad,
+                      lambda h: h[section].update({key: value}))
+    assert _segment_with_model(tmp_path, corpus_dir, bad) == EXIT_DATA
+    assert "one sample" in capsys.readouterr().err
 
 
 def test_eval_perfect_predictions(tmp_path, corpus_dir, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfeat.autodiff import ParameterSet
 from segfeat.optim import AdamState, adam_step, clip_grad_norm
@@ -13,8 +15,8 @@ def test_zero_gradients_leave_params_unchanged():
     adam_step(params, state, lr=0.1)
     assert np.array_equal(w.value, before)
     assert state.step == 1
-    assert np.all(state.m["w"] == 0.0)
-    assert np.all(state.v["w"] == 0.0)
+    assert np.all(state.m == 0.0)
+    assert np.all(state.v == 0.0)
 
 
 def test_first_step_magnitude_with_unit_gradient():
@@ -65,7 +67,7 @@ def test_adam_decreases_quadratic():
     w = params.add("w", np.array([3.0, -2.0]))
     state = AdamState(params)
     for _ in range(2000):
-        w.grad = 2.0 * w.value
+        w.grad[:] = 2.0 * w.value
         adam_step(params, state, lr=0.01)
     assert np.all(np.abs(w.value) < 0.05)
 
@@ -88,3 +90,91 @@ def test_clip_grad_norm():
     a.grad[:] = 100.0
     clip_grad_norm(params, 0.0)
     assert np.all(a.grad == 100.0)
+
+
+def test_copy_values_snapshot_survives_a_later_step():
+    params = ParameterSet()
+    w = params.add("w", np.array([[1.0, -2.0]]))
+    params.add("b", np.array([0.5]))
+    snap = params.copy_values()
+    before = {k: v.copy() for k, v in snap.items()}
+    params.grads[:] = 1.0
+    adam_step(params, AdamState(params), lr=0.1)
+    assert not np.array_equal(w.value, before["w"])
+    for k, v in snap.items():
+        assert np.array_equal(v, before[k])
+        assert not np.shares_memory(v, params.values)
+
+
+# ----- the per-tensor loops that the buffer operations replaced ---------------
+
+class ReferenceAdamState:
+    def __init__(self, values):
+        self.m = [np.zeros_like(x) for x in values]
+        self.v = [np.zeros_like(x) for x in values]
+        self.step = 0
+
+
+def reference_adam_step(values, grads, state, lr, beta1, beta2, eps):
+    """Adam one separate array at a time, each expression as written here."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, m, v in zip(values, grads, state.m, state.v):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def reference_clip_grad_norm(grads, max_norm):
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        factor = max_norm / norm
+        for g in grads:
+            g *= factor
+    return norm
+
+
+def _flat(arrays):
+    return np.concatenate([a.reshape(-1) for a in arrays]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 5), max_size=2).map(tuple),
+                       min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 4),
+       max_norm=st.sampled_from([0.0, 1e-3, 0.5, 5.0, 1e4]),
+       lr=st.floats(1e-5, 1.0), beta1=st.floats(0.0, 0.99),
+       beta2=st.floats(0.0, 0.9999), eps=st.floats(1e-12, 1e-3))
+def test_property_buffer_optimizer_matches_per_tensor_reference(
+        shapes, seed, steps, max_norm, lr, beta1, beta2, eps):
+    """Clip and Adam over the flat buffers give the bytes of the per-tensor
+    loops: the norm, the clipped grads, both moments and the values."""
+    rng = np.random.default_rng(seed)
+    params = ParameterSet()
+    values = []
+    for k, shape in enumerate(shapes):
+        init = np.array(rng.normal(size=shape))
+        params.add(f"p{k}", init)
+        values.append(init.copy())
+    state = AdamState(params)
+    ref = ReferenceAdamState(values)
+    for _ in range(steps):
+        grads = [np.array(rng.normal(size=s) * 10.0 ** rng.integers(-3, 3)) for s in shapes]
+        for t, g in zip(params.tensors(), grads):
+            t.grad[...] = g
+        norm = clip_grad_norm(params, max_norm)
+        assert norm == reference_clip_grad_norm(grads, max_norm)
+        assert params.grads.tobytes() == _flat(grads)
+        adam_step(params, state, lr, beta1, beta2, eps)
+        reference_adam_step(values, grads, ref, lr, beta1, beta2, eps)
+        params.zero_grad()
+    assert params.values.tobytes() == _flat(values)
+    assert state.m.tobytes() == _flat(ref.m)
+    assert state.v.tobytes() == _flat(ref.v)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segfeat import train as train_module
 from segfeat.data import LabeledUtterance
 from segfeat.features import FeatureConfig, FrameMatrix
 from segfeat.model import ModelConfig, SegmentalModel, Segmentation
@@ -162,3 +163,44 @@ def test_validate_model_scores_tiny_corpus():
     report = validate_model(model, utts, 0.020)
     assert 0.0 <= report.recall <= 1.0
     assert report.n_ref == sum(len(u.gold.boundaries) for u in utts)
+
+
+def _buffer_offset(view, buf):
+    return (view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // 8
+
+
+def test_fit_leaves_every_parameter_a_view_of_the_buffers(monkeypatch):
+    """After a fit with all three losses, a short last batch and clipping that
+    fires, each value and grad is still a view of ParameterSet's buffers, and
+    together the views tile both buffers in name order."""
+    calls = []
+
+    def recording(fn):
+        def wrapper(params, *args, **kwargs):
+            out = fn(params, *args, **kwargs)
+            calls.append((fn.__name__, out, args))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(train_module, "clip_grad_norm", recording(train_module.clip_grad_norm))
+    monkeypatch.setattr(train_module, "adam_step", recording(train_module.adam_step))
+    utts = tiny_corpus(6, seed=14)
+    model = make_model(inventory=("a", "b"), with_bin=True, seed=15)
+    init = model.params.values.copy()
+    cfg = TrainConfig(epochs=2, learning_rate=1e-3, losses=("segfeat", "phn", "bin"),
+                      batch_size=2, grad_clip=0.5)
+    fit(utts[:5], utts[5:], model, cfg)
+
+    clips = [(norm, args[0]) for name, norm, args in calls if name == "clip_grad_norm"]
+    assert len(clips) == 2 * 3  # 5 utterances in batches of 2, 2, 1 per epoch
+    assert sum(1 for name, _, _ in calls if name == "adam_step") == len(clips)
+    assert any(norm > max_norm for norm, max_norm in clips)
+    params = model.params
+    start = 0
+    for name, t in params.items():
+        for view, buf in ((t.value, params.values), (t.grad, params.grads)):
+            assert np.shares_memory(view, buf), name
+            assert view.flags.c_contiguous and _buffer_offset(view, buf) == start, name
+        start += t.value.size
+    assert start == params.values.size == params.grads.size
+    assert not np.array_equal(params.values, init)
