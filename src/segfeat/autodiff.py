@@ -182,6 +182,10 @@ class Tape:
         if _lstm_hidden(xv, *bw) != hdim:
             raise ValueError(f"bilstm directions differ in hidden size: "
                              f"{fw[1].value.shape} vs {bw[1].value.shape}")
+        if any(a is b for a in fw for b in bw):
+            # the backward sets each direction's wh grad on its own; a shared
+            # wh would keep only the backward direction's
+            raise ValueError("bilstm directions must not share a tensor")
         h2, h3 = 2 * hdim, 3 * hdim
         tsteps = xv.shape[0]
         # per-step inputs: frame k forward, frame T-1-k backward, each

@@ -2,7 +2,9 @@
 
 Files are INI-style ('key = value' lines under [section] headers). Any key
 can be overridden with SEGFEAT_<SECTION>_<KEY> in the environment. Unknown
-sections or keys are rejected up front.
+sections or keys are rejected up front. The [features], [model] and [train]
+keys, their types and their defaults are the fields of FeatureConfig,
+ModelConfig and TrainConfig.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
+from .data import NONSPEECH_SYMBOLS
 from .features import FeatureConfig
 from .model import ModelConfig
 from .train import TrainConfig
@@ -42,54 +46,43 @@ def _opt_int(s: str):
     return None if s.strip().lower() in ("", "none", "auto") else int(s)
 
 
+def _parser(default):
+    """The parser that turns a config string into a value of the default's type."""
+    if isinstance(default, bool):
+        return _bool
+    if default is None:
+        return _opt_int
+    if isinstance(default, tuple):
+        return _str_list if isinstance(default[0], str) else _int_list
+    return type(default)
+
+
+def _fields_schema(cls, skip=()):
+    """key -> (parser, default) for each field of a config dataclass, in field
+    order; the fields in `skip` are filled in by the CLI, not by the config."""
+    return {f.name: (_parser(f.default), f.default) for f in fields(cls) if f.name not in skip}
+
+
+# [train] keys for the CLI's train/val split; every other [train] key is a
+# TrainConfig field
+_SPLIT_KEYS = {"val_fraction": (float, 0.10), "val_seed": (int, 0)}
+
 # section -> key -> (parser, default)
 SCHEMA = {
-    "features": {
-        "frame_shift": (float, 0.010),
-        "window_length": (float, 0.010),
-        "n_mfcc": (int, 13),
-        "n_mel_filters": (int, 26),
-        "n_fft": (_opt_int, None),
-        "delta_window": (int, 2),
-        "spectral_js": (_int_list, (1, 2, 3, 4)),
-        "normalize": (_bool, True),
-    },
-    "model": {
-        "hidden_size": (int, 64),
-        "num_layers": (int, 2),
-        "shared_head": (_bool, False),
-        "mean_bigram": (_bool, False),
-        "include_end_spans": (_bool, True),
-        "forget_bias": (float, 1.0),
-        "seed": (int, 0),
-    },
-    "train": {
-        "epochs": (int, 150),
-        "learning_rate": (float, 1e-4),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.999),
-        "eps": (float, 1e-8),
-        "losses": (_str_list, ("segfeat",)),
-        "lambda_phn": (float, 1.0),
-        "lambda_bin": (float, 1.0),
-        "batch_size": (int, 1),
-        "shuffle_seed": (int, 0),
-        "patience": (int, 0),
-        "max_seg_frames": (int, 50),
-        "grad_clip": (float, 5.0),
-        "val_fraction": (float, 0.10),
-        "val_seed": (int, 0),
-    },
+    "features": _fields_schema(FeatureConfig),
+    "model": _fields_schema(ModelConfig, skip=("input_dim", "inventory", "with_bin",
+                                               "sample_rate")),
+    "train": {**_fields_schema(TrainConfig, skip=("tolerance",)), **_SPLIT_KEYS},
     "data": {
         "sample_rate": (int, 16000),
         "annotation_unit": (str, "samples"),
         "split_nonspeech": (_bool, False),
-        "nonspeech_symbols": (_str_list, ("sil", "noise", "iva")),
+        "nonspeech_symbols": (_str_list, NONSPEECH_SYMBOLS),
         "min_nonspeech_ms": (float, 100.0),
         "max_lead_ms": (float, 20.0),
     },
     "eval": {
-        "tolerance": (float, 0.020),
+        "tolerance": (float, TrainConfig.tolerance),
     },
     "paths": {
         "manifest": (str, ""),
@@ -97,6 +90,15 @@ SCHEMA = {
         "model": (str, ""),
     },
 }
+
+
+@contextmanager
+def _config_errors():
+    """Report a config dataclass's ValueError as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -107,28 +109,19 @@ class RunConfig:
         return self.values[section]
 
     def feature_config(self) -> FeatureConfig:
-        f = self.values["features"]
-        try:
-            return FeatureConfig(**f)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        with _config_errors():
+            return FeatureConfig(**self.values["features"])
 
     def model_config(self, input_dim: int, inventory=(), with_bin=False) -> ModelConfig:
-        m = self.values["model"]
-        try:
+        with _config_errors():
             return ModelConfig(input_dim=input_dim, inventory=inventory, with_bin=with_bin,
-                               sample_rate=self.values["data"]["sample_rate"], **m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+                               sample_rate=self.values["data"]["sample_rate"],
+                               **self.values["model"])
 
     def train_config(self) -> TrainConfig:
-        t = dict(self.values["train"])
-        t.pop("val_fraction")
-        t.pop("val_seed")
-        try:
+        t = {k: v for k, v in self.values["train"].items() if k not in _SPLIT_KEYS}
+        with _config_errors():
             return TrainConfig(tolerance=self.values["eval"]["tolerance"], **t)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def load_run_config(path=None, env=None) -> RunConfig:
@@ -173,16 +166,14 @@ def load_run_config(path=None, env=None) -> RunConfig:
 
     cfg = RunConfig(values)
     # validate the derived dataclasses eagerly so errors surface before any work
-    cfg.feature_config()
-    cfg.model_config(input_dim=cfg.feature_config().feature_dim)
+    fcfg = cfg.feature_config()
+    cfg.model_config(input_dim=fcfg.feature_dim)
     cfg.train_config()
     data = values["data"]
     if data["sample_rate"] < 1:
         raise ConfigError("sample_rate must be >= 1")
-    try:
-        cfg.feature_config().check_rate(data["sample_rate"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _config_errors():
+        fcfg.check_rate(data["sample_rate"])
     # written so that NaN fails each check
     if not (0 <= data["min_nonspeech_ms"] < math.inf and 0 <= data["max_lead_ms"] < math.inf):
         raise ConfigError("min_nonspeech_ms and max_lead_ms must be >= 0 and finite")

@@ -274,7 +274,7 @@ def split_nonspeech(utt: LabeledUtterance, nonspeech=NONSPEECH_SYMBOLS,
                    for (s, e), sym in zip(spans, utt.phonemes)
                    if max(s, a) < min(e, b)]
         bounds = tuple(s - a for s, _, _ in clipped[1:])
-        feats = FrameMatrix(utt.features.data[a:b].copy(), shift, utt.features.column_roles)
+        feats = FrameMatrix(utt.features.data[a:b].copy(), shift)
         key = utt.key if len(pieces) == 1 else f"{utt.key}#{n}"
         out.append(LabeledUtterance(key, feats, Segmentation(bounds, b - a),
                                     tuple(sym for _, _, sym in clipped)))

@@ -81,7 +81,6 @@ class FrameMatrix:
 
     data: np.ndarray
     frame_shift: float
-    column_roles: list | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -89,8 +88,6 @@ class FrameMatrix:
             raise ValueError("feature matrix must be 2-D with at least one frame")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature matrix contains non-finite values")
-        if self.column_roles is not None and len(self.column_roles) != self.data.shape[1]:
-            raise ValueError("column_roles length must match feature dimension")
 
     @property
     def n_frames(self) -> int:
@@ -164,7 +161,7 @@ def compute_mfcc(w: Waveform, cfg: FeatureConfig) -> FrameMatrix:
     """13 (by default) cepstral coefficients per frame, including coefficient 0."""
     energies = np.maximum(mel_energies(w, cfg), LOG_FLOOR)
     ceps = dct(np.log(energies), type=2, norm="ortho", axis=1)[:, :cfg.n_mfcc]
-    return FrameMatrix(ceps, cfg.frame_shift, ["mfcc"] * cfg.n_mfcc)
+    return FrameMatrix(ceps, cfg.frame_shift)
 
 
 def _delta(x: np.ndarray, n_window: int) -> np.ndarray:
@@ -183,10 +180,7 @@ def append_deltas(m: FrameMatrix, delta_window: int = 2) -> FrameMatrix:
     """Append delta and delta-delta columns: [static | d | dd]."""
     d = _delta(m.data, delta_window)
     dd = _delta(d, delta_window)
-    roles = None
-    if m.column_roles is not None:
-        roles = list(m.column_roles) + ["delta"] * d.shape[1] + ["delta2"] * dd.shape[1]
-    return FrameMatrix(np.hstack([m.data, d, dd]), m.frame_shift, roles)
+    return FrameMatrix(np.hstack([m.data, d, dd]), m.frame_shift)
 
 
 def spectral_change_features(m: FrameMatrix, js=(1, 2, 3, 4)) -> FrameMatrix:
@@ -199,8 +193,7 @@ def spectral_change_features(m: FrameMatrix, js=(1, 2, 3, 4)) -> FrameMatrix:
     for j in js:
         diff = padded[jmax - j:jmax - j + t] - padded[jmax + j:jmax + j + t]
         cols.append(np.sqrt(np.sum(diff * diff, axis=1)))
-    return FrameMatrix(np.column_stack(cols), m.frame_shift,
-                       ["spectral_change"] * len(js))
+    return FrameMatrix(np.column_stack(cols), m.frame_shift)
 
 
 @dataclass
@@ -226,7 +219,7 @@ def apply_stats(m: FrameMatrix, stats: FeatureStats) -> FrameMatrix:
     if stats.mean.size != m.dim:
         raise ValueError(f"stats dimension {stats.mean.size} != feature dimension {m.dim}")
     scaled = (m.data - stats.mean) / np.maximum(stats.std, STD_FLOOR)
-    return FrameMatrix(scaled, m.frame_shift, m.column_roles)
+    return FrameMatrix(scaled, m.frame_shift)
 
 
 def assemble_features(w: Waveform, cfg: FeatureConfig,
@@ -235,8 +228,7 @@ def assemble_features(w: Waveform, cfg: FeatureConfig,
     mfcc = compute_mfcc(w, cfg)
     with_deltas = append_deltas(mfcc, cfg.delta_window)
     dists = spectral_change_features(with_deltas, cfg.spectral_js)
-    roles = list(with_deltas.column_roles) + list(dists.column_roles)
-    out = FrameMatrix(np.hstack([with_deltas.data, dists.data]), cfg.frame_shift, roles)
+    out = FrameMatrix(np.hstack([with_deltas.data, dists.data]), cfg.frame_shift)
     if cfg.normalize and stats is not None:
         out = apply_stats(out, stats)
     return out

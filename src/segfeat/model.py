@@ -135,14 +135,10 @@ class SegmentalModel:
         if stats_present:
             manifest.append({"name": "featstats.mean", "shape": [int(self.stats.mean.size)]})
             manifest.append({"name": "featstats.std", "shape": [int(self.stats.std.size)]})
-        fcfg = asdict(self.feature_cfg)
-        fcfg["spectral_js"] = list(self.feature_cfg.spectral_js)
-        mcfg = asdict(self.cfg)
-        mcfg["inventory"] = list(self.cfg.inventory)
-        header = {
+        header = {  # json writes the tuple fields as arrays
             "format_version": MODEL_VERSION,
-            "model": mcfg,
-            "features": fcfg,
+            "model": asdict(self.cfg),
+            "features": asdict(self.feature_cfg),
             "params": manifest,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")

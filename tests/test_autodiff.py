@@ -156,7 +156,10 @@ def test_every_primitive_matches_finite_differences(reference_grad_check):
 
 
 def _bilstm(tape, x, fw, bw=None):
-    return tape.bilstm(tape.tensor(x), fw, fw if bw is None else bw)
+    """One layer; without `bw` the backward direction runs on a copy of `fw`."""
+    if bw is None:
+        bw = [tape.tensor(p.value.copy()) for p in fw]
+    return tape.bilstm(tape.tensor(x), fw, bw)
 
 
 def test_lstm_step_zero_params_zero_state():
@@ -219,16 +222,31 @@ def test_lstm_rejects_mismatched_shapes():
     params = ParameterSet()
     rng = np.random.default_rng(0)
     lp = init_lstm(params, "l", 3, 2, rng)
+    other = init_lstm(params, "o", 3, 2, rng)
     wide = init_lstm(params, "w", 3, 3, rng)
     t = Tape()
     x = t.tensor(np.zeros((4, 3)))
-    for args in ((t.tensor(np.zeros((4, 2))), lp, lp),
-                 (x, LstmParams(lp.wx, lp.wx, lp.b), lp),
-                 (x, lp, LstmParams(lp.wx, lp.wh, t.tensor(np.zeros((1, 4)))))):
+    for args in ((t.tensor(np.zeros((4, 2))), lp, other),
+                 (x, LstmParams(lp.wx, lp.wx, lp.b), other),
+                 (x, lp, LstmParams(other.wx, other.wh, t.tensor(np.zeros((1, 4)))))):
         with pytest.raises(ValueError):
             t.bilstm(*args)
     with pytest.raises(ValueError, match="differ in hidden size"):
         t.bilstm(x, lp, wide)
+
+
+@pytest.mark.parametrize("shared", ["triple", "wh"])
+def test_bilstm_rejects_tensors_shared_between_directions(shared):
+    # one wh serving both directions would get only the backward direction's
+    # gradient, so the op refuses it
+    params = ParameterSet()
+    rng = np.random.default_rng(4)
+    fw = init_lstm(params, "f", 3, 2, rng)
+    other = init_lstm(params, "b", 3, 2, rng)
+    bw = fw if shared == "triple" else LstmParams(other.wx, fw.wh, other.b)
+    t = Tape()
+    with pytest.raises(ValueError, match="must not share a tensor"):
+        t.bilstm(t.tensor(rng.normal(size=(4, 3))), fw, bw)
 
 
 def _make_layers(params, rng, input_dim, hidden, layers):

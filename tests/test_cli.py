@@ -1,4 +1,6 @@
+import configparser
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,12 @@ import pytest
 from segfeat import train as train_module
 from segfeat.audio import write_wav
 from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from segfeat.config import ConfigError, load_run_config
+from segfeat.config import SCHEMA, ConfigError, load_run_config
 from segfeat.data import read_boundaries_csv, read_manifest
 from segfeat.features import FeatureConfig, read_features_bin, read_stats
 from segfeat.metrics import evaluate_corpus
 from segfeat.model import ModelConfig, SegmentalModel
-from segfeat.train import read_epoch_logs
+from segfeat.train import TrainConfig, read_epoch_logs
 
 from conftest import edit_model_header
 
@@ -128,6 +130,32 @@ def test_config_range_edges_accepted(tmp_path):
     tcfg = load_run_config(path, env={}).train_config()
     assert (tcfg.max_seg_frames, tcfg.grad_clip, tcfg.beta1, tcfg.beta2, tcfg.patience,
             tcfg.tolerance) == (1, 0.0, 0.0, 0.0, 0, 0.0)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_readme_config_block_lists_every_key_with_its_default(tmp_path):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration"):]
+    start = section.index("```ini\n") + len("```ini\n")
+    path = tmp_path / "readme.cfg"
+    path.write_text(section[start:section.index("```", start)])
+    assert load_run_config(path, env={}).values == load_run_config(None, env={}).values
+    named = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    named.read(path)
+    assert {s: list(named[s]) for s in named.sections()} == {
+        s: list(keys) for s, keys in SCHEMA.items()}
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_recipe_loads_and_builds_every_config(path):
+    cfg = load_run_config(path, env={})
+    fcfg = cfg.feature_config()
+    assert isinstance(fcfg, FeatureConfig)
+    assert isinstance(cfg.model_config(input_dim=fcfg.feature_dim), ModelConfig)
+    assert isinstance(cfg.train_config(), TrainConfig)
 
 
 # ----- CLI flows -------------------------------------------------------------

@@ -133,10 +133,21 @@ def test_spectral_change_nonnegative_and_reversal():
 def test_assemble_shape_and_roles():
     out = assemble_features(tone(440), FeatureConfig())
     assert out.data.shape == (100, 43)
-    assert out.column_roles[:13] == ["mfcc"] * 13
-    assert out.column_roles[13:26] == ["delta"] * 13
-    assert out.column_roles[26:39] == ["delta2"] * 13
-    assert out.column_roles[39:] == ["spectral_change"] * 4
+    # the column layout is [mfcc | delta | delta2 | spectral-change], on a
+    # signal whose cepstra change from frame to frame
+    cfg = FeatureConfig()
+    w = Waveform(0.1 * np.random.default_rng(6).normal(size=RATE), RATE)
+    out = assemble_features(w, cfg)
+    mfcc = compute_mfcc(w, cfg)
+    delta = append_deltas(mfcc, cfg.delta_window).data[:, 13:26]
+    delta2 = append_deltas(FrameMatrix(delta, cfg.frame_shift), cfg.delta_window).data[:, 13:26]
+    change = spectral_change_features(FrameMatrix(out.data[:, :39], cfg.frame_shift),
+                                      cfg.spectral_js)
+    assert np.array_equal(out.data[:, :13], mfcc.data)
+    assert np.array_equal(out.data[:, 13:26], delta)
+    assert np.array_equal(out.data[:, 26:39], delta2)
+    assert np.array_equal(out.data[:, 39:], change.data)
+    assert np.abs(delta).max() > 0.1 and np.abs(delta2).max() > 0.1
 
 
 def test_assemble_self_normalization():
