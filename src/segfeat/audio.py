@@ -51,10 +51,6 @@ def read_wav(path) -> Waveform:
             rate = wf.getframerate()
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
-    except FileNotFoundError:
-        raise
-    except (UnsupportedCodecError, MalformedWavError):
-        raise
     except wave.Error as exc:
         msg = str(exc)
         if "unknown format" in msg or "compression" in msg.lower():
@@ -65,6 +61,8 @@ def read_wav(path) -> Waveform:
 
     if n_frames == 0 or not raw:
         raise MalformedWavError("WAV file contains no samples")
+    if len(raw) % (2 * n_channels):  # the data chunk ends inside a frame
+        raise MalformedWavError("truncated WAV file")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)

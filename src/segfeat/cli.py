@@ -21,7 +21,7 @@ from .features import (assemble_features, corpus_stats, write_features_bin, writ
                        write_stats)
 from .metrics import TolerancePolicy, evaluate_times
 from .model import SegmentalModel, build_context
-from .train import fit, validate_model, write_epoch_logs
+from .train import fit, write_epoch_logs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,10 +29,6 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 DATA_ERRORS = (FileNotFoundError, MalformedWavError, UnsupportedCodecError, ValueError)
-
-
-def _load_config(args):
-    return load_run_config(getattr(args, "config", None))
 
 
 def _resolve_path(flag_value, cfg, key, flag_name):
@@ -46,7 +42,7 @@ def _resolve_path(flag_value, cfg, key, flag_name):
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config)
     data = cfg["data"]
     total = args.train + args.val + args.test
     if total <= 0:
@@ -68,7 +64,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config)
     fcfg = cfg.feature_config()
     data = cfg["data"]
     manifest_path = _resolve_path(args.manifest, cfg, "manifest", "--manifest")
@@ -118,14 +114,14 @@ def _prepare_training_data(cfg, manifest):
     if not train:
         raise ValueError("no training utterances after splitting")
 
+    if not fcfg.normalize:
+        return train, val, None, fcfg
     stats = corpus_stats([u.features for u in train])
-    if fcfg.normalize:
-        train, val = zscore_utterances(train, stats), zscore_utterances(val, stats)
-    return train, val, stats, fcfg
+    return zscore_utterances(train, stats), zscore_utterances(val, stats), stats, fcfg
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config)
     data = cfg["data"]
     tcfg = cfg.train_config()
     manifest_path = _resolve_path(args.manifest, cfg, "manifest", "--manifest")
@@ -136,15 +132,10 @@ def cmd_train(args) -> int:
     train, val, stats, fcfg = _prepare_training_data(cfg, manifest)
     inventory = ()
     if "phn" in tcfg.losses:
-        symbols = set()
-        for u in train + val:
-            if u.phonemes is None:
-                raise ValueError(f"{u.key}: phn loss requires phoneme annotations")
-            symbols.update(u.phonemes)
-        inventory = tuple(sorted(symbols))
+        inventory = tuple(sorted({sym for u in train + val for sym in u.phonemes}))
     mcfg = cfg.model_config(input_dim=fcfg.feature_dim, inventory=inventory,
                             with_bin="bin" in tcfg.losses)
-    model = SegmentalModel(mcfg, fcfg, stats if fcfg.normalize else None)
+    model = SegmentalModel(mcfg, fcfg, stats)
 
     print(f"training on {len(train)} utterances ({len(val)} validation), "
           f"losses={','.join(tcfg.losses)}")
@@ -157,11 +148,9 @@ def cmd_train(args) -> int:
     model.save(out_dir / "model_best.bin")  # fit leaves the best values loaded
     model.params.set_values(result.final_values)
     model.save(out_dir / "model_last.bin")
-    model.params.set_values(result.best_values)
 
-    if val:
-        report = validate_model(model, val, tcfg.tolerance)
-        print(report.as_text())
+    if result.best_report is not None:  # the validation of model_best.bin's epoch
+        print(result.best_report.as_text())
     print(f"checkpoints and epochs.csv written to {out_dir}")
     return EXIT_OK
 
@@ -189,7 +178,7 @@ def _segment_one(model, wav_path, out_dir, k, textgrid) -> Path:
 def cmd_segment(args) -> int:
     if args.k is not None and args.k < 1:
         raise ConfigError("--k must be >= 1")
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config)
     if (args.wav is None) == (args.manifest is None):
         raise ConfigError("provide exactly one of --wav or --manifest")
     model_path = _resolve_path(args.model, cfg, "model", "--model")
@@ -209,7 +198,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config)
     data = cfg["data"]
     tolerance = args.tolerance if args.tolerance is not None else cfg["eval"]["tolerance"]
     if not tolerance >= 0:  # NaN fails too
@@ -252,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=100)
     p.add_argument("--val", type=int, default=10)
     p.add_argument("--test", type=int, default=10)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--min-segments", type=int, default=2)
-    p.add_argument("--max-segments", type=int, default=6)
-    p.add_argument("--min-duration", type=float, default=0.05)
-    p.add_argument("--max-duration", type=float, default=0.15)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=SynthConfig.n_classes)
+    p.add_argument("--min-segments", type=int, default=SynthConfig.segments_range[0])
+    p.add_argument("--max-segments", type=int, default=SynthConfig.segments_range[1])
+    p.add_argument("--min-duration", type=float, default=SynthConfig.duration_range[0])
+    p.add_argument("--max-duration", type=float, default=SynthConfig.duration_range[1])
+    p.add_argument("--noise", type=float, default=SynthConfig.noise_level)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="extract per-utterance features and corpus stats")

@@ -4,7 +4,7 @@ Files are INI-style ('key = value' lines under [section] headers). Any key
 can be overridden with SEGFEAT_<SECTION>_<KEY> in the environment. Unknown
 sections or keys are rejected up front. The [features], [model] and [train]
 keys, their types and their defaults are the fields of FeatureConfig,
-ModelConfig and TrainConfig.
+ModelConfig and TrainConfig; the other keys read their defaults from the library.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
-from .data import NONSPEECH_SYMBOLS
+from .data import (ANNOTATION_UNITS, MAX_LEAD_MS, MIN_NONSPEECH_MS, NONSPEECH_SYMBOLS,
+                   VAL_FRACTION, VAL_SEED, CorpusManifest)
 from .features import FeatureConfig
 from .model import ModelConfig
 from .train import TrainConfig
@@ -65,7 +66,7 @@ def _fields_schema(cls, skip=()):
 
 # [train] keys for the CLI's train/val split; every other [train] key is a
 # TrainConfig field
-_SPLIT_KEYS = {"val_fraction": (float, 0.10), "val_seed": (int, 0)}
+_SPLIT_KEYS = {"val_fraction": (float, VAL_FRACTION), "val_seed": (int, VAL_SEED)}
 
 # section -> key -> (parser, default)
 SCHEMA = {
@@ -74,12 +75,12 @@ SCHEMA = {
                                                "sample_rate")),
     "train": {**_fields_schema(TrainConfig, skip=("tolerance",)), **_SPLIT_KEYS},
     "data": {
-        "sample_rate": (int, 16000),
-        "annotation_unit": (str, "samples"),
+        "sample_rate": (int, ModelConfig.sample_rate),
+        "annotation_unit": (str, CorpusManifest.annotation_unit),
         "split_nonspeech": (_bool, False),
         "nonspeech_symbols": (_str_list, NONSPEECH_SYMBOLS),
-        "min_nonspeech_ms": (float, 100.0),
-        "max_lead_ms": (float, 20.0),
+        "min_nonspeech_ms": (float, MIN_NONSPEECH_MS),
+        "max_lead_ms": (float, MAX_LEAD_MS),
     },
     "eval": {
         "tolerance": (float, TrainConfig.tolerance),
@@ -177,8 +178,8 @@ def load_run_config(path=None, env=None) -> RunConfig:
     # written so that NaN fails each check
     if not (0 <= data["min_nonspeech_ms"] < math.inf and 0 <= data["max_lead_ms"] < math.inf):
         raise ConfigError("min_nonspeech_ms and max_lead_ms must be >= 0 and finite")
-    if data["annotation_unit"] not in ("samples", "seconds"):
-        raise ConfigError("annotation_unit must be 'samples' or 'seconds'")
+    if data["annotation_unit"] not in ANNOTATION_UNITS:
+        raise ConfigError(f"annotation_unit must be one of {ANNOTATION_UNITS}")
     if not 0.0 <= values["train"]["val_fraction"] < 1.0:
         raise ConfigError("val_fraction must be in [0, 1)")
     return cfg

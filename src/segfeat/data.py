@@ -12,10 +12,15 @@ import numpy as np
 
 from .audio import Waveform, read_wav, write_wav
 from .features import FeatureConfig, FeatureStats, FrameMatrix, apply_stats, assemble_features
-from .model import Segmentation
+from .model import ModelConfig, Segmentation
 
 NONSPEECH_SYMBOLS = ("sil", "noise", "iva")
+MIN_NONSPEECH_MS = 100.0  # interior non-speech run that cuts an utterance
+MAX_LEAD_MS = 20.0        # non-speech a piece keeps on each side
+VAL_FRACTION = 0.10       # validation share carved from training data
+VAL_SEED = 0
 SPLIT_TAGS = ("train", "val", "test")
+ANNOTATION_UNITS = ("samples", "seconds")
 
 
 @dataclass
@@ -102,11 +107,11 @@ class ManifestEntry:
 class CorpusManifest:
     entries: list
     sample_rate: int
-    annotation_unit: str = "samples"  # or "seconds"
+    annotation_unit: str = ANNOTATION_UNITS[0]
 
     def __post_init__(self):
-        if self.annotation_unit not in ("samples", "seconds"):
-            raise ValueError("annotation_unit must be 'samples' or 'seconds'")
+        if self.annotation_unit not in ANNOTATION_UNITS:
+            raise ValueError(f"annotation_unit must be one of {ANNOTATION_UNITS}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -114,7 +119,8 @@ class CorpusManifest:
         return [e for e in self.entries if e.split == tag]
 
 
-def read_manifest(path, sample_rate: int, annotation_unit: str = "samples") -> CorpusManifest:
+def read_manifest(path, sample_rate: int,
+                  annotation_unit: str = CorpusManifest.annotation_unit) -> CorpusManifest:
     """CSV manifest: wav_path,ann_path,split (paths relative to the manifest)."""
     base = Path(path).parent
     entries = []
@@ -184,24 +190,23 @@ def read_annotation(path: Path, manifest: CorpusManifest) -> Annotation:
     return read_phn(path)
 
 
-def load_utterance(entry: ManifestEntry, cfg: FeatureConfig, manifest: CorpusManifest,
-                   stats: FeatureStats | None = None) -> LabeledUtterance:
+def load_utterance(entry: ManifestEntry, cfg: FeatureConfig,
+                   manifest: CorpusManifest) -> LabeledUtterance:
     wav = read_wav(entry.wav_path)
     if wav.sample_rate != manifest.sample_rate:
         raise ValueError(f"{entry.wav_path}: sample rate {wav.sample_rate} does not "
                          f"match corpus rate {manifest.sample_rate}")
     ann = read_annotation(entry.ann_path, manifest)
-    feats = assemble_features(wav, cfg, stats)
+    feats = assemble_features(wav, cfg)
     bounds, symbols = boundaries_from_annotation(
         ann, cfg.shift_samples(wav.sample_rate), feats.n_frames)
     gold = Segmentation(bounds, feats.n_frames)
     return LabeledUtterance(entry.key, feats, gold, symbols)
 
 
-def load_corpus(manifest: CorpusManifest, cfg: FeatureConfig,
-                stats: FeatureStats | None = None, split: str | None = None):
+def load_corpus(manifest: CorpusManifest, cfg: FeatureConfig, split: str | None = None):
     entries = manifest.entries if split is None else manifest.split(split)
-    return [load_utterance(e, cfg, manifest, stats) for e in entries]
+    return [load_utterance(e, cfg, manifest) for e in entries]
 
 
 def zscore_utterances(utts, stats: FeatureStats):
@@ -211,7 +216,7 @@ def zscore_utterances(utts, stats: FeatureStats):
 
 
 def split_nonspeech(utt: LabeledUtterance, nonspeech=NONSPEECH_SYMBOLS,
-                    min_run_ms: float = 100.0, max_lead_ms: float = 20.0):
+                    min_run_ms: float = MIN_NONSPEECH_MS, max_lead_ms: float = MAX_LEAD_MS):
     """Cut an utterance at long non-speech runs and trim the piece edges.
 
     Interior non-speech runs of at least min_run_ms are removed (cut points);
@@ -291,7 +296,7 @@ class SynthConfig:
     n_classes: int = 4
     noise_level: float = 0.05
     seed: int = 0
-    sample_rate: int = 16000
+    sample_rate: int = ModelConfig.sample_rate
 
     def __post_init__(self):
         lo, hi = self.segments_range
@@ -419,7 +424,7 @@ def write_textgrid(path, times, total_duration: float):
         f.write("\n".join(lines) + "\n")
 
 
-def split_train_val(items, val_fraction: float = 0.10, seed: int = 0):
+def split_train_val(items, val_fraction: float = VAL_FRACTION, seed: int = VAL_SEED):
     """Seeded shuffle then partition; disjoint and union-preserving."""
     if not items:
         raise ValueError("cannot split an empty set")

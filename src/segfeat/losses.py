@@ -24,12 +24,12 @@ def hinge_loss(ctx: ScoreContext, model: SegmentalModel, gold: Segmentation,
     if gold.n_frames != ctx.n_frames:
         raise ValueError("gold segmentation length does not match context")
     tape = ctx.tape
-    competitor = next((seg for seg, _ in dp_two_best(ctx, model, max_seg_frames)
-                       if seg != gold), None)
-    if competitor is None:
+    rivals = [(seg, score) for seg, score in dp_two_best(ctx, model, max_seg_frames)
+              if seg != gold]
+    if not rivals:
         return tape.tensor(np.zeros(()))
-    margin = (score_segmentation(ctx, model, competitor)
-              - score_segmentation(ctx, model, gold)) + 1.0
+    competitor, competitor_score = rivals[0]
+    margin = (competitor_score - score_segmentation(ctx, model, gold)) + 1.0
     active = margin > 0.0
     out = tape._make(margin if active else 0.0)
 

@@ -11,7 +11,7 @@ import numpy as np
 from .autodiff import Tape
 from .decode import dp_segment
 from .losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
-from .metrics import TolerancePolicy, evaluate_corpus
+from .metrics import EvalReport, TolerancePolicy, evaluate_corpus
 from .model import SegmentalModel, build_context, boundary_logits, phoneme_logits
 from .optim import AdamState, adam_step, clip_grad_norm
 
@@ -33,7 +33,7 @@ class TrainConfig:
     patience: int = 0           # epochs without val-F1 improvement; 0 disables
     max_seg_frames: int = 50    # DP cap during training; evaluation is uncapped
     grad_clip: float = 5.0      # global norm; 0 disables
-    tolerance: float = 0.020
+    tolerance: float = TolerancePolicy.tolerance
 
     def __post_init__(self):
         self.losses = tuple(self.losses)
@@ -108,6 +108,7 @@ class FitResult:
     best_values: dict
     final_values: dict
     best_epoch: int
+    best_report: EvalReport | None  # validation of best_values; None without a val set
 
 
 def validate_model(model: SegmentalModel, utterances, tolerance: float):
@@ -160,6 +161,7 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
     best_f1 = -1.0
     best_epoch = -1
     best_values = model.params.copy_values()
+    best_report = None
     since_best = 0
 
     for epoch in range(cfg.epochs):
@@ -195,8 +197,8 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
                 model.params.zero_grad()
 
         n = len(train_set)
-        if val_set:
-            report = validate_model(model, val_set, cfg.tolerance)
+        report = validate_model(model, val_set, cfg.tolerance) if val_set else None
+        if report is not None:
             val_p, val_r, val_f1 = report.precision, report.recall, report.f1
             val_rval = report.r_value if math.isfinite(report.r_value) else 0.0
         else:
@@ -210,6 +212,7 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
             best_f1 = val_f1
             best_epoch = epoch
             best_values = model.params.copy_values()
+            best_report = report
             since_best = 0
         else:
             since_best += 1
@@ -218,5 +221,5 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
 
     final_values = model.params.copy_values()
     model.params.set_values(best_values)
-    return FitResult(logs=logs, best_values=best_values,
-                     final_values=final_values, best_epoch=best_epoch)
+    return FitResult(logs=logs, best_values=best_values, final_values=final_values,
+                     best_epoch=best_epoch, best_report=best_report)

@@ -1,5 +1,6 @@
 import json
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -59,3 +60,15 @@ def edit_model_header(src, dst, edit):
     edit(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     dst.write_bytes(MODEL_MAGIC + struct.pack("<I", len(blob)) + blob + data[off + 4 + hlen:])
+
+
+def write_cut_wav(path, n_channels, data_bytes):
+    """A PCM-16 WAV whose header promises 100 frames but whose file ends
+    after data_bytes bytes of the data chunk."""
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(n_channels)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(200 * n_channels))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:blob.index(b"data") + 8 + data_bytes])

@@ -6,6 +6,8 @@ import pytest
 
 from segfeat.audio import MalformedWavError, UnsupportedCodecError, Waveform, read_wav, write_wav
 
+from conftest import write_cut_wav
+
 
 def test_one_second_mono(tmp_path):
     path = tmp_path / "a.wav"
@@ -100,6 +102,20 @@ def test_empty_wav_is_malformed(tmp_path):
         wf.writeframes(b"")
     with pytest.raises(MalformedWavError):
         read_wav(path)
+
+
+@pytest.mark.parametrize("n_channels, data_bytes", [(1, 1), (2, 6)])
+def test_data_chunk_cut_inside_a_frame_is_malformed(tmp_path, n_channels, data_bytes):
+    path = tmp_path / "cut.wav"
+    write_cut_wav(path, n_channels, data_bytes)
+    with pytest.raises(MalformedWavError, match="truncated"):
+        read_wav(path)
+
+
+def test_data_chunk_cut_at_a_frame_boundary_reads_the_whole_frames(tmp_path):
+    path = tmp_path / "cut.wav"
+    write_cut_wav(path, 2, 8)
+    assert read_wav(path).samples.size == 2
 
 
 def test_waveform_invariants():

@@ -1,21 +1,25 @@
 import configparser
+import dataclasses
+import inspect
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from segfeat import cli as cli_module
 from segfeat import train as train_module
 from segfeat.audio import write_wav
-from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main
 from segfeat.config import SCHEMA, ConfigError, load_run_config
-from segfeat.data import read_boundaries_csv, read_manifest
+from segfeat.data import (CorpusManifest, SynthConfig, read_boundaries_csv, read_manifest,
+                          split_nonspeech, split_train_val)
 from segfeat.features import FeatureConfig, read_features_bin, read_stats
-from segfeat.metrics import evaluate_corpus
+from segfeat.metrics import TolerancePolicy, evaluate_corpus
 from segfeat.model import ModelConfig, SegmentalModel
 from segfeat.train import TrainConfig, read_epoch_logs
 
-from conftest import edit_model_header
+from conftest import edit_model_header, write_cut_wav
 
 
 # ----- configuration --------------------------------------------------------
@@ -156,6 +160,35 @@ def test_shipped_recipe_loads_and_builds_every_config(path):
     assert isinstance(fcfg, FeatureConfig)
     assert isinstance(cfg.model_config(input_dim=fcfg.feature_dim), ModelConfig)
     assert isinstance(cfg.train_config(), TrainConfig)
+
+
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """Each default the CLI layer passes on is the default of the library
+    class or function it feeds."""
+    args = build_parser().parse_args(["synth", "--out", "x"])
+    n = args.train + args.val + args.test
+    assert SynthConfig(n_utterances=n, segments_range=(args.min_segments, args.max_segments),
+                       duration_range=(args.min_duration, args.max_duration),
+                       n_classes=args.classes, noise_level=args.noise, seed=args.seed) == \
+        dataclasses.replace(SynthConfig(), n_utterances=n)
+
+    defaults = load_run_config(None, env={})
+    data, train = defaults["data"], defaults["train"]
+    nonspeech = _defaults(split_nonspeech)
+    assert (data["nonspeech_symbols"], data["min_nonspeech_ms"], data["max_lead_ms"]) == \
+        (nonspeech["nonspeech"], nonspeech["min_run_ms"], nonspeech["max_lead_ms"])
+    split = _defaults(split_train_val)
+    assert (train["val_fraction"], train["val_seed"]) == (split["val_fraction"], split["seed"])
+    assert data["sample_rate"] == ModelConfig().sample_rate == SynthConfig().sample_rate
+    assert data["annotation_unit"] == CorpusManifest([], 1).annotation_unit == \
+        _defaults(read_manifest)["annotation_unit"]
+    assert defaults["eval"]["tolerance"] == TrainConfig().tolerance == \
+        TolerancePolicy().tolerance
 
 
 # ----- CLI flows -------------------------------------------------------------
@@ -330,6 +363,12 @@ def test_bad_flag_value_exits_2_before_reading_inputs(tmp_path, capsys, flags):
     assert flags[1] in capsys.readouterr().err
 
 
+def _best_epoch(run_dir):
+    """The epoch `fit` keeps: the first with the highest validation F1."""
+    logs = read_epoch_logs(run_dir / "epochs.csv")
+    return max(range(len(logs)), key=lambda e: (logs[e].val_f1, -e))
+
+
 def test_segment_reproduces_validation_segmentations(tmp_path, corpus_dir, monkeypatch):
     """The inference contract: `segment` on a saved checkpoint writes exactly
     the boundaries that validation decoded with the trained model in memory."""
@@ -346,7 +385,7 @@ def test_segment_reproduces_validation_segmentations(tmp_path, corpus_dir, monke
     rc = main(["train", "--manifest", str(corpus_dir / "manifest.csv"),
                "--out", str(run), "--config", str(cfg)])
     assert rc == EXIT_OK
-    final = validated[-1]  # the best checkpoint, validated once more after fit
+    final = validated[_best_epoch(run)]  # the validation of model_best.bin's epoch
     val_wavs = [e.wav_path for e in
                 read_manifest(corpus_dir / "manifest.csv", 16000).split("val")]
     assert sorted(final) == sorted(w.stem for w in val_wavs)
@@ -357,6 +396,38 @@ def test_segment_reproduces_validation_segmentations(tmp_path, corpus_dir, monke
     for key, (seg, shift) in final.items():
         assert read_boundaries_csv(tmp_path / "pred" / f"{key}.csv") == seg.times(shift)
     assert any(seg.boundaries for seg, _ in final.values())  # not vacuous
+
+
+def test_train_validates_once_per_epoch_and_prints_the_best_epochs_report(
+        tmp_path, corpus_dir, monkeypatch, capsys):
+    calls = []
+    validate_model = train_module.validate_model
+
+    def counting(model, utterances, tolerance):
+        report = validate_model(model, utterances, tolerance)
+        calls.append(report.as_text())
+        return report
+
+    monkeypatch.setattr(train_module, "validate_model", counting)
+    monkeypatch.setattr(cli_module, "validate_model", counting, raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_SMALL.replace("epochs = 2", "epochs = 3"))
+    rc = main(["train", "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(tmp_path / "run"), "--config", str(cfg)])
+    assert rc == EXIT_OK
+    assert len(calls) == 3
+    assert calls[_best_epoch(tmp_path / "run")] in capsys.readouterr().out.splitlines()
+
+
+def test_segment_rejects_a_wav_cut_inside_a_frame(tmp_path, capsys):
+    SegmentalModel(ModelConfig(hidden_size=2, num_layers=1), FeatureConfig()).save(
+        tmp_path / "model.bin")
+    wav = tmp_path / "cut.wav"
+    write_cut_wav(wav, 1, 1)
+    rc = main(["segment", "--model", str(tmp_path / "model.bin"), "--wav", str(wav),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_segment_command(tmp_path, corpus_dir, trained_dir):

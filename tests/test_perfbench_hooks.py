@@ -1,11 +1,16 @@
-"""The benchmark tracer finds every layer it hooks.
+"""The benchmark tracer finds every layer it hooks, and the benchmark runs.
 
 perfbench/tracer.py wraps package functions by "module:attribute" name and
 reports a name that no longer resolves as an absent layer reading 0, rather
-than failing. So a rename in the package must fail here instead.
+than failing. So a rename in the package must fail here instead. A package
+change that breaks the benchmark's use of the API fails the smoke run.
 """
 
 import importlib.util
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,21 @@ def test_every_benchmark_patch_point_resolves(point):
         assert patches.replace(point, lambda fn: fn), f"{point} no longer exists"
     finally:
         patches.restore()
+
+
+def test_benchmark_smoke_run_passes_on_a_copy(tmp_path):
+    """`perfbench/run.py --smoke` runs every workload through the package's
+    public API at tiny size. It runs on a copy, so the checkout's
+    .bench_out/ and .bench_work/ stay untouched."""
+    repo = TRACER_PATH.parents[1]
+    for name in ("src", "perfbench"):
+        shutil.copytree(repo / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(repo / "BENCHMARK.json", tmp_path)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SEGFEAT_")}
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("smoke ")]
+    assert len(lines) == 6, proc.stdout
+    assert all(": ok " in ln for ln in lines), proc.stdout

@@ -126,6 +126,17 @@ def test_fit_returns_best_checkpoint():
         assert np.array_equal(model.params[name].value, value)
 
 
+def test_fit_reports_the_validation_of_the_best_epoch():
+    utts = tiny_corpus(6, seed=8)
+    model = make_model(seed=9)
+    cfg = TrainConfig(epochs=5, learning_rate=2e-3, losses=("segfeat",))
+    result = fit(utts[:5], utts[5:], model, cfg)
+    assert result.best_report.f1 == result.logs[result.best_epoch].val_f1
+    assert result.best_report.as_text() == \
+        validate_model(model, utts[5:], cfg.tolerance).as_text()
+    assert fit(utts, [], make_model(seed=9), TrainConfig(epochs=1)).best_report is None
+
+
 def test_fit_patience_stops_early():
     utts = tiny_corpus(4, seed=10)
     model = make_model(seed=11)
