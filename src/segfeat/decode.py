@@ -11,6 +11,17 @@ candidates in a column break toward the better-ranked prefix, then the
 smaller segment start; so among tied segmentations the argmax is the one
 whose boundaries, read from the last, are smallest. dp_segment_k keeps its
 own sweep, whose rows are segment counts, with the smaller-start rule.
+
+Uncapped sweeps score only the starts that can still win. tanh lies in
+[-1, 1], so every span score lies in [lo, hi] = [b2 - |w2|_1, b2 + |w2|_1]
+(widened to hold 0 without end spans). A start whose best prefix score
+trails the largest prefix score of the last kept rank seen so far (the best
+for dp_segment, the runner-up for dp_two_best) by more than hi - lo, plus a
+slack that bounds the rounding, can place in no later column, and is
+dropped for good.
+Pruning is exact: a start at the threshold is kept (>=), so every candidate
+that could tie the winner is still ranked, in the same order. Capped sweeps
+(training's hinge) score every span under the cap, as before.
 """
 
 from __future__ import annotations
@@ -25,19 +36,49 @@ NEG_INF = float("-inf")
 BRUTE_FORCE_MAX_FRAMES = 16
 
 
-def _span_column(ctx: ScoreContext, model: SegmentalModel, smin: int, t: int) -> np.ndarray:
-    """Bigram scores of the spans (s, t) for s in [smin, t), one DP column.
+def _span_column(ctx: ScoreContext, model: SegmentalModel, starts: np.ndarray,
+                 t: int) -> np.ndarray:
+    """Bigram scores of the spans (s, t) for the ascending starts, one DP column.
 
-    Columns are scored on demand from Q[t] - Q[smin:t] and dropped after use,
+    Columns are scored on demand from Q[t] - Q[starts] and dropped after use,
     so a sweep holds O(T*H) memory whatever the cap. Without end spans, a
     span that starts at 0 or ends at T scores 0, as in score_segmentation.
     """
     if not model.cfg.include_end_spans and t == ctx.n_frames:
-        return np.zeros(t - smin)
-    vals = bigram_scores_np(ctx, model, np.arange(smin, t), t)
-    if not model.cfg.include_end_spans and smin == 0:
+        return np.zeros(len(starts))
+    vals = bigram_scores_np(ctx, model, starts, t)
+    if not model.cfg.include_end_spans and starts[0] == 0:
         vals[0] = 0.0
     return vals
+
+
+def _prune_bound(ctx: ScoreContext, model: SegmentalModel):
+    """(width, nu, base): an uncapped sweep drops a start s for good once
+    best[0, s] < top - width - nu * (base + |top|); see _top_segmentations.
+
+    tanh lies in [-1, 1], so every span score lies in [lo, hi] with
+    lo = b2 - |w2|_1 and hi = b2 + |w2|_1, widened to hold 0 without end
+    spans (spans from 0 or to T score 0 there); width = hi - lo.
+
+    The slack bounds the rounding of both sides of the comparison, with u the
+    unit roundoff 2^-53: a computed span score leaves [lo, hi] by at most
+    (H+1) u (|b2| + |w2|_1) (an H-term dot product of values in [-1, 1], then
+    the bias add); adding u[t] rounds by at most u (|b2| + |w2|_1 + max|u|);
+    adding the prefix by u |top| for the start that set top, and for s by at
+    most u (|top| + gap), where the gap top - best[0, s] exceeds width only
+    by the slack. Over both candidates that is below
+    (2H+8) u (width + |b2| + |w2|_1 + max|u| + |top|). nu takes np.finfo's
+    eps = 2u, which leaves room for rounding |w2|_1 and the threshold itself.
+    """
+    _, _, w2, b2 = model.head_bigram
+    reach = float(np.abs(w2.value).sum())
+    bias = float(b2.value[0, 0])
+    lo, hi = bias - reach, bias + reach
+    if not model.cfg.include_end_spans:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    nu = (2 * model.cfg.hidden_size + 8) * float(np.finfo(float).eps)
+    u_max = float(np.abs(ctx.unary_np).max())
+    return hi - lo, nu, (hi - lo) + abs(bias) + reach + u_max
 
 
 def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
@@ -48,6 +89,21 @@ def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
     the candidates best[r, s] + (span(s, t) + u[t]) over (r, s) flattened
     rank-major, so ties go to row 0 first, then to the smaller start.
     Returns (Segmentation, canonical score) pairs for the finite ranks.
+
+    A capped column scores the slice [t - cap, t). Uncapped, it scores the
+    live starts: let top be the largest best[ranks-1, t'] swept so far. Every
+    later column holds best[ranks-1, t'] + span(t', t) + u[t], at least
+    top + lo + u[t], and so does its (ranks-1)-th best (the row 0 candidate
+    of t' is no smaller); a start s offers at most best[0, s] + hi + u[t].
+    Once best[0, s] falls below top - width (less the rounding slack), s can
+    never place again, and as top only rises it stays dropped. A start at
+    the threshold stays (>=), so every candidate that could tie the winner or
+    the runner-up is still ranked, in the same order: the sweep picks what
+    the full column picks. Until the first start drops, the uncapped column
+    is the slice [0, t). After that, a kept row sits elsewhere in a smaller
+    batch, and the BLAS product may round its last bits differently, as a
+    capped column already does; only candidates within that rounding of
+    each other could then rank differently.
     """
     t_total = ctx.n_frames
     max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
@@ -56,25 +112,60 @@ def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
     best = np.full((ranks, t_total + 1), NEG_INF)
     best[0, 0] = 0.0
     back = [[(0, 0)] * (t_total + 1) for _ in range(ranks)]  # (start, rank)
+    pruning = max_seg_frames is None
+    if pruning:
+        width, nu, base = _prune_bound(ctx, model)
+        top = threshold = NEG_INF
+        floor = 0.0  # smallest best[0, s] over the live starts
+    live = None  # the live starts, ascending, once one is dropped
     for t in range(1, t_total + 1):
-        smin = max(0, t - max_len)
-        e = _span_column(ctx, model, smin, t)
+        if live is None:
+            smin = max(0, t - max_len)
+            starts, rows = np.arange(smin, t), best[:, smin:t]
+        else:
+            starts, rows = live[:n_live], live_best[:, :n_live]
+        e = _span_column(ctx, model, starts, t)
         if t < t_total:
             e = e + u[t]
-        flat = (best[:, smin:t] + e).ravel()
+        flat = (rows + e).ravel()
+        n = len(starts)
         for r in range(ranks):
             i = int(flat.argmax())  # first occurrence
             best[r, t] = flat[i]
-            rank, j = divmod(i, t - smin)
-            back[r][t] = (smin + j, rank)
+            rank, j = divmod(i, n)
+            back[r][t] = (smin + j if live is None else live.item(j), rank)
             if r + 1 < ranks:
                 flat[i] = NEG_INF
 
+        if not pruning or t == t_total:
+            continue
+        v0, v_last = best.item(0, t), best.item(ranks - 1, t)
+        if live is not None:  # start t joins the live list
+            live[n_live] = t
+            live_best[0, n_live], live_best[ranks - 1, n_live] = v0, v_last
+            n_live += 1
+        if v0 < floor:
+            floor = v0
+        if v_last > top:
+            top = v_last
+            threshold = top - width - nu * (base + abs(top))
+        if threshold > floor:
+            if live is None:
+                live = np.arange(t_total + 1)
+                live_best = best.copy()
+                n_live = t + 1
+            keep = live_best[0, :n_live] >= threshold
+            n_keep = int(np.count_nonzero(keep))
+            live[:n_keep] = live[:n_live][keep]
+            live_best[:, :n_keep] = live_best[:, :n_live][:, keep]
+            n_live = n_keep
+            floor = float(live_best[0, :n_live].min())
+
     out = []
-    for top in range(ranks):
-        if not np.isfinite(best[top, t_total]):
+    for rank in range(ranks):
+        if not np.isfinite(best[rank, t_total]):
             break
-        starts, t, r = [], t_total, top
+        starts, t, r = [], t_total, rank
         while t > 0:
             t, r = back[r][t]
             starts.append(t)
@@ -109,7 +200,7 @@ def dp_segment_k(ctx: ScoreContext, model: SegmentalModel, k: int):
         # j segments need at least j frames and leave room for k - j more
         j_lo, j_hi = max(1, k - (t_total - t)), min(k, t)
         smin = j_lo - 1
-        e = _span_column(ctx, model, smin, t)
+        e = _span_column(ctx, model, np.arange(smin, t), t)
         # row j reads best[j - 1, smin:t]; cells with s < j - 1 are -inf
         vals = best[j_lo - 1:j_hi, smin:t] + e
         if t < t_total:

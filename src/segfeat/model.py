@@ -174,6 +174,8 @@ class SegmentalModel:
                 if len(raw) != 8 * count:
                     raise ValueError(f"truncated model file: {path}")
                 blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                if not np.isfinite(blocks[name]).all():
+                    raise ValueError(f"non-finite value in block {name!r} of model file: {path}")
             if f.read(1):
                 raise ValueError(f"unexpected bytes after the last block of model file: {path}")
 

@@ -538,6 +538,42 @@ def test_segment_rejects_sub_sample_shift_or_window_in_model_header(
     assert "one sample" in capsys.readouterr().err
 
 
+def _write_non_finite_model(trained_dir, path, block, value):
+    model = SegmentalModel.load(trained_dir / "model_best.bin")
+    if block.startswith("featstats."):
+        getattr(model.stats, block.split(".")[1])[0] = value
+    else:
+        model.params[block].value.flat[0] = value
+    model.save(path)
+
+
+NON_FINITE_BLOCKS = [("bigram.2.w", np.nan), ("unary.2.b", np.nan), ("bigram.2.b", np.inf),
+                     ("enc.l0.f.wx", -np.inf), ("featstats.mean", np.nan),
+                     ("featstats.std", np.inf)]
+
+
+@pytest.mark.parametrize("block, value", NON_FINITE_BLOCKS)
+def test_segment_wav_rejects_non_finite_model_parameters(tmp_path, corpus_dir, trained_dir,
+                                                         capsys, block, value):
+    bad = tmp_path / "nonfinite.bin"
+    _write_non_finite_model(trained_dir, bad, block, value)
+    assert _segment_with_model(tmp_path, corpus_dir, bad) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "non-finite" in err and repr(block) in err
+
+
+@pytest.mark.parametrize("block, value", NON_FINITE_BLOCKS[:3])
+def test_segment_manifest_rejects_non_finite_model_parameters(tmp_path, corpus_dir, trained_dir,
+                                                              capsys, block, value):
+    bad = tmp_path / "nonfinite.bin"
+    _write_non_finite_model(trained_dir, bad, block, value)
+    rc = main(["segment", "--model", str(bad), "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    assert repr(block) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
 def test_eval_perfect_predictions(tmp_path, corpus_dir, capsys):
     manifest = read_manifest(corpus_dir / "manifest.csv", 16000)
     pred = tmp_path / "pred"

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations, product
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segfeat import decode as decode_module
 from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k, dp_two_best
-from segfeat.model import Segmentation, bigram_scores_np, score_segmentation
+from segfeat.model import (Segmentation, bigram_scores_np, context_from_hidden,
+                           score_segmentation)
 
 from conftest import mlp2_np, random_context, small_model, toy_context
+from reference_dp import reference_dp_segment, reference_dp_two_best
 from reference_tape import ReferenceTape, composed_score
 
 
@@ -296,3 +300,178 @@ def test_property_projected_scores_match_unfactored_reference(flags, t_total, se
     want = mlp2_np(x, *model.head_bigram)[:, 0]
     # the factored route reorders float64 sums of magnitude ~10: about 1e-14 apart
     assert np.max(np.abs(bigram_scores_np(ctx, model, starts, ends) - want)) <= 1e-12
+
+
+# ----- the bound-pruned uncapped sweep against the full-column reference ----
+# Uncapped sweeps drop every start whose prefix score has fallen more than
+# the span-score range behind; tests/reference_dp.py keeps the sweep that
+# scores every span. Each case below also checks that pruning fired, by
+# counting the rows the sweep hands to bigram_scores_np.
+
+@contextmanager
+def _scored_rows():
+    """Collect the row count of every bigram_scores_np call the DP makes."""
+    rows = []
+
+    def counting(ctx, model, starts, ends):
+        rows.append(len(starts))
+        return bigram_scores_np(ctx, model, starts, ends)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_module, "bigram_scores_np", counting)
+        yield rows
+
+
+def _full_column_rows(model, t_total):
+    """Rows an unpruned uncapped sweep scores; without end spans the last
+    column scores 0 without a call."""
+    return t_total * (t_total + 1) // 2 - (0 if model.cfg.include_end_spans else t_total)
+
+
+def _assert_pruned_matches_reference(ctx, model):
+    for decode, reference in ((dp_segment, reference_dp_segment),
+                              (dp_two_best, reference_dp_two_best)):
+        with _scored_rows() as rows:
+            got = decode(ctx, model)
+        assert got == reference(ctx, model)
+        assert sum(rows) < _full_column_rows(model, ctx.n_frames), "pruning never fired"
+
+
+def _span_range(model):
+    """(lo, hi): every bigram span score lies between them (tanh is in [-1, 1])."""
+    _, _, w2, b2 = model.head_bigram
+    reach = float(np.abs(w2.value).sum())
+    lo, hi = b2.value.item() - reach, b2.value.item() + reach
+    if not model.cfg.include_end_spans:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return lo, hi
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(30, 150), seed=st.integers(0, 2**32 - 1),
+       bias=st.floats(-3.0, 3.0), climb=st.floats(0.05, 1.0))
+def test_property_pruned_sweep_matches_full_column_reference(flags, t_total, seed, bias,
+                                                             climb):
+    """Random contexts with a random bias b2, and unary scores lifted so that
+    each boundary gains at least climb * (hi - lo) over the lowest span
+    score: prefix scores rise, so old starts fall behind by more than the
+    span range within about 1 / climb + 3 columns."""
+    model, ctx = _instance(flags, t_total, seed)
+    model.head_bigram[3].value[:] = bias
+    lo, hi = _span_range(model)
+    u = ctx.unary.value[:, 0]
+    u += climb * (hi - lo) - lo - u.min()
+    _assert_pruned_matches_reference(ctx, model)
+
+
+def _zero_span_context(model, t_total, rng):
+    """Every span scores exactly 1/2 (w2 = 0, b2 = 1/2) and every unary score
+    is -1/2, 0 or 1/2: segmentations that differ only at frames whose unary
+    score is -1/2 tie exactly."""
+    _, _, w2, b2 = model.head_bigram
+    w2.value[:] = 0.0
+    b2.value[:] = 0.5
+    ctx = random_context(model, t_total, rng)
+    ctx.unary.value[:, 0] = rng.choice([-0.5, 0.0, 0.5], size=t_total)
+    return ctx
+
+
+def _equal_rows_context(model, t_total, rng):
+    """Equal hidden rows and dyadic weights: Q[t] - Q[s] is exact, so a span's
+    score depends on its length alone, bit for bit, wherever its row sits in
+    a column (w2 has one nonzero entry, 1/2, so the head's dot product is
+    exact too). Unary scores from {-1/2, 0, 1/2}: segmentations whose segment
+    lengths are permutations of each other tie exactly."""
+    w1, b1, w2, b2 = model.head_bigram
+    w1.value[:] = rng.integers(-4, 5, size=w1.value.shape) / 16.0
+    b1.value[:] = rng.integers(-4, 5, size=b1.value.shape) / 8.0
+    w2.value[:] = 0.0
+    w2.value[0, 0] = 0.5
+    b2.value[:] = 1.0
+    row = rng.integers(-2, 3, size=2 * model.cfg.hidden_size) / 4.0
+    tape = ReferenceTape()
+    ctx = context_from_hidden(tape, model, tape.tensor(np.tile(row, (t_total, 1))))
+    ctx.unary.value[:, 0] = rng.choice([-0.5, 0.0, 0.5], size=t_total)
+    return ctx
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(20, 80), seed=st.integers(0, 2**32 - 1),
+       equal_rows=st.booleans())
+def test_property_pruned_sweep_keeps_exactly_tied_candidates(flags, t_total, seed, equal_rows):
+    """A start whose prefix score sits at the threshold is kept (>=), so the
+    tie rule still sees every candidate that ties the winner or runner-up."""
+    model = small_model(seed=seed % 1000, **flags)
+    rng = np.random.default_rng(seed)
+    make = _equal_rows_context if equal_rows else _zero_span_context
+    ctx = make(model, t_total, rng)
+    _assert_pruned_matches_reference(ctx, model)
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(20, 150), seed=st.integers(0, 2**32 - 1))
+def test_property_pruned_sweep_matches_reference_on_saturated_contexts(flags, t_total, seed):
+    """Hidden states of scale 1e3 saturate tanh, so span scores sit at or near
+    the ends of [lo, hi], and unary scores of scale 1e3 make prefix scores
+    large, where the rounding slack of the bound matters most."""
+    model = small_model(seed=seed % 1000, **flags)
+    rng = np.random.default_rng(seed)
+    ctx = random_context(model, t_total, rng, scale=1e3)
+    ctx.unary.value[:, 0] = rng.normal(size=t_total) * 1e3
+    _assert_pruned_matches_reference(ctx, model)
+
+
+def test_pruning_slack_keeps_a_start_that_ties_only_after_rounding():
+    """Every span scores 0, so the span range is 0 and the exact bound would
+    drop start 1 (prefix 1) once start 2 reaches 1 + 2^-30. But column 3 adds
+    a unary score of 2^40, where both candidates round to 2^40 + 1: they tie,
+    and the tie goes to the smaller start. The slack, which scales with the
+    largest unary score, keeps start 1 live so the sweep picks it."""
+    model = small_model()
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    ctx = random_context(model, 4, np.random.default_rng(0))
+    ctx.unary.value[:, 0] = [0.0, 1.0, 2.0**-30, 2.0**40]
+    best = dp_segment(ctx, model)
+    assert best[0].boundaries == (1, 3)
+    assert best == reference_dp_segment(ctx, model)
+    assert dp_two_best(ctx, model) == reference_dp_two_best(ctx, model)
+
+
+def test_pruning_bound_holds_the_zero_score_of_spans_from_frame_0():
+    """Without end spans, a span from frame 0 scores 0, above every other
+    span when b2 + |w2|_1 < 0. Each prefix's best split is then one segment
+    from 0, and the best segmentation is the one boundary at frame 11, whose
+    unary score is the largest. A bound that left 0 out of [lo, hi] would
+    drop start 0 after column 1 (prefix 0 against 5) and miss it."""
+    model = small_model(include_end_spans=False)
+    model.head_bigram[3].value[:] = -10.0
+    ctx = random_context(model, 12, np.random.default_rng(23))
+    ctx.unary.value[:, 0] = 5.0
+    ctx.unary.value[11, 0] = 6.0
+    assert dp_segment(ctx, model)[0].boundaries == (11,)
+    for decode, reference in ((dp_segment, reference_dp_segment),
+                              (dp_two_best, reference_dp_two_best)):
+        assert decode(ctx, model) == reference(ctx, model)
+
+
+def test_uncapped_sweep_scores_under_half_the_spans_of_a_long_saturated_context():
+    """The speed-up itself: a T=2000 decode skips most starts."""
+    model = small_model()
+    rng = np.random.default_rng(21)
+    ctx = random_context(model, 2000, rng, scale=1e3)
+    ctx.unary.value[:, 0] = rng.normal(size=2000) * 1e3
+    with _scored_rows() as rows:
+        seg, score = dp_segment(ctx, model)
+    assert sum(rows) < 2000 * 2001 // 4
+    assert score == score_segmentation(ctx, model, seg)
+
+
+def test_capped_two_best_scores_every_span_under_the_cap():
+    """Training's sweep (cap 50) is not pruned: column t scores min(t, 50) rows."""
+    model = small_model()
+    ctx = random_context(model, 300, np.random.default_rng(22))
+    with _scored_rows() as rows:
+        two = dp_two_best(ctx, model, 50)
+    assert rows == [min(t, 50) for t in range(1, 301)]
+    assert two == reference_dp_two_best(ctx, model, 50)
