@@ -4,6 +4,7 @@ seeded synthetic corpus generator for desk-scale end-to-end runs."""
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,9 +75,10 @@ def read_ann_csv(path, sample_rate: int) -> Annotation:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'start_s,end_s,symbol'")
-            start = int(round(float(parts[0]) * sample_rate))
-            end = int(round(float(parts[1]) * sample_rate))
-            segments.append((start, end, parts[2].strip()))
+            start, end = (float(x) * sample_rate for x in parts[:2])
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError(f"{path}:{lineno}: segment times must be finite")
+            segments.append((int(round(start)), int(round(end)), parts[2].strip()))
     return Annotation(segments)
 
 

@@ -1,6 +1,6 @@
 """Exact argmax over segmentations by dynamic programming.
 
-best[t] is the best score of segmenting frames [0, t); a segment (s, t)
+A prefix score is the score of segmenting frames [0, t); a segment (s, t)
 contributes its bigram score plus, when t is interior, the unary score of
 the boundary it creates at t.
 
@@ -12,16 +12,15 @@ smaller segment start; so among tied segmentations the argmax is the one
 whose boundaries, read from the last, are smallest. dp_segment_k keeps its
 own sweep, whose rows are segment counts, with the smaller-start rule.
 
-Uncapped sweeps score only the starts that can still win. tanh lies in
-[-1, 1], so every span score lies in [lo, hi] = [b2 - |w2|_1, b2 + |w2|_1]
-(widened to hold 0 without end spans). A start whose best prefix score
-trails the largest prefix score of the last kept rank seen so far (the best
-for dp_segment, the runner-up for dp_two_best) by more than hi - lo, plus a
-slack that bounds the rounding, can place in no later column, and is
-dropped for good.
-Pruning is exact: a start at the threshold is kept (>=), so every candidate
-that could tie the winner is still ranked, in the same order. Capped sweeps
-(training's hinge) score every span under the cap, as before.
+The sweep ranks one ascending list of candidate starts per column, and a
+start leaves the list by one of two rules. A capped sweep (training's hinge)
+drops the oldest start once it lies a cap behind, so it scores every span
+under the cap. An uncapped sweep drops for good each start whose best prefix
+score trails the largest prefix score of the last kept rank (the best for
+dp_segment, the runner-up for dp_two_best) by more than the range of span
+scores plus a rounding slack (_prune_bound): such a start can place in no
+later column. A start at the threshold is kept (>=), so every candidate that
+could tie the winner is still ranked, in the same order.
 """
 
 from __future__ import annotations
@@ -53,8 +52,9 @@ def _span_column(ctx: ScoreContext, model: SegmentalModel, starts: np.ndarray,
 
 
 def _prune_bound(ctx: ScoreContext, model: SegmentalModel):
-    """(width, nu, base): an uncapped sweep drops a start s for good once
-    best[0, s] < top - width - nu * (base + |top|); see _top_segmentations.
+    """(width, nu, base): an uncapped sweep drops a start s for good once its
+    best prefix score p_s < top - width - nu * (base + |top|); see
+    _top_segmentations.
 
     tanh lies in [-1, 1], so every span score lies in [lo, hi] with
     lo = b2 - |w2|_1 and hi = b2 + |w2|_1, widened to hold 0 without end
@@ -65,7 +65,7 @@ def _prune_bound(ctx: ScoreContext, model: SegmentalModel):
     (H+1) u (|b2| + |w2|_1) (an H-term dot product of values in [-1, 1], then
     the bias add); adding u[t] rounds by at most u (|b2| + |w2|_1 + max|u|);
     adding the prefix by u |top| for the start that set top, and for s by at
-    most u (|top| + gap), where the gap top - best[0, s] exceeds width only
+    most u (|top| + gap), where the gap top - p_s exceeds width only
     by the slack. Over both candidates that is below
     (2H+8) u (width + |b2| + |w2|_1 + max|u| + |top|). nu takes np.finfo's
     eps = 2u, which leaves room for rounding |w2|_1 and the threshold itself.
@@ -85,85 +85,80 @@ def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
                        max_seg_frames: int | None, ranks: int):
     """The `ranks` best distinct segmentations (1 or 2) by one column sweep.
 
-    best[r, t] is the (r+1)-th best score of frames [0, t). Column t ranks
-    the candidates best[r, s] + (span(s, t) + u[t]) over (r, s) flattened
-    rank-major, so ties go to row 0 first, then to the smaller start.
-    Returns (Segmentation, canonical score) pairs for the finite ranks.
+    The sweep keeps its candidate starts, ascending, in live[lo:n], and
+    prefix[r, k] is the (r+1)-th best score of frames [0, live[k]). Column t
+    ranks the candidates prefix[r, k] + (span(live[k], t) + u[t]) over
+    (r, k) flattened rank-major, so ties go to row 0 first, then to the
+    smaller start; its ranks become the prefix scores of start t, appended
+    at n. Returns (Segmentation, canonical score) pairs for the finite ranks.
 
-    A capped column scores the slice [t - cap, t). Uncapped, it scores the
-    live starts: let top be the largest best[ranks-1, t'] swept so far. Every
-    later column holds best[ranks-1, t'] + span(t', t) + u[t], at least
-    top + lo + u[t], and so does its (ranks-1)-th best (the row 0 candidate
-    of t' is no smaller); a start s offers at most best[0, s] + hi + u[t].
-    Once best[0, s] falls below top - width (less the rounding slack), s can
-    never place again, and as top only rises it stays dropped. A start at
-    the threshold stays (>=), so every candidate that could tie the winner or
-    the runner-up is still ranked, in the same order: the sweep picks what
-    the full column picks. Until the first start drops, the uncapped column
-    is the slice [0, t). After that, a kept row sits elsewhere in a smaller
-    batch, and the BLAS product may round its last bits differently, as a
-    capped column already does; only candidates within that rounding of
-    each other could then rank differently.
+    Starts leave the list by one of two rules. Capped, lo advances once the
+    oldest start lies a cap behind the next column. Uncapped, let top be the
+    largest prefix score of row ranks-1 swept so far, at start t'. Every
+    later column holds the candidate of t' in that row, at least top plus
+    the lowest span score plus u[t], and so does its row ranks-1 (the row 0
+    candidate of t' is no smaller); a start s offers at most its best prefix
+    score plus the highest span score plus u[t] (see _prune_bound). Once
+    that best prefix score falls below top - width (less the rounding
+    slack), s can never place again, and as top only rises it stays dropped,
+    so the list is compacted without it. A start at the threshold stays
+    (>=), so every candidate that could tie the winner or the runner-up is
+    still ranked, in the same order: the sweep picks what the full column
+    picks. Once a start has dropped, a kept row sits elsewhere in a smaller
+    batch, where the BLAS product may round its last bits differently (as in
+    a capped column): only candidates that close could rank differently.
     """
     t_total = ctx.n_frames
     max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
     u = ctx.unary_np
 
-    best = np.full((ranks, t_total + 1), NEG_INF)
-    best[0, 0] = 0.0
+    live = np.arange(t_total + 1)
+    prefix = np.full((ranks, t_total + 1), NEG_INF)
+    prefix[0, 0] = 0.0
+    lo, n = 0, 1
     back = [[(0, 0)] * (t_total + 1) for _ in range(ranks)]  # (start, rank)
     pruning = max_seg_frames is None
     if pruning:
         width, nu, base = _prune_bound(ctx, model)
         top = threshold = NEG_INF
-        floor = 0.0  # smallest best[0, s] over the live starts
-    live = None  # the live starts, ascending, once one is dropped
+        floor = 0.0  # smallest best prefix score over the live starts
     for t in range(1, t_total + 1):
-        if live is None:
-            smin = max(0, t - max_len)
-            starts, rows = np.arange(smin, t), best[:, smin:t]
-        else:
-            starts, rows = live[:n_live], live_best[:, :n_live]
-        e = _span_column(ctx, model, starts, t)
+        e = _span_column(ctx, model, live[lo:n], t)
         if t < t_total:
             e = e + u[t]
-        flat = (rows + e).ravel()
-        n = len(starts)
+        flat = (prefix[:, lo:n] + e).ravel()
         for r in range(ranks):
             i = int(flat.argmax())  # first occurrence
-            best[r, t] = flat[i]
-            rank, j = divmod(i, n)
-            back[r][t] = (smin + j if live is None else live.item(j), rank)
+            prefix[r, n] = flat[i]
+            rank, j = divmod(i, n - lo)
+            back[r][t] = (live.item(lo + j), rank)
             if r + 1 < ranks:
                 flat[i] = NEG_INF
-
-        if not pruning or t == t_total:
+        if t == t_total:
+            break
+        live[n] = t
+        n += 1
+        if n - lo > max_len:
+            lo += 1
+        if not pruning:
             continue
-        v0, v_last = best.item(0, t), best.item(ranks - 1, t)
-        if live is not None:  # start t joins the live list
-            live[n_live] = t
-            live_best[0, n_live], live_best[ranks - 1, n_live] = v0, v_last
-            n_live += 1
+        v0, v_last = prefix.item(0, n - 1), prefix.item(ranks - 1, n - 1)
         if v0 < floor:
             floor = v0
         if v_last > top:
             top = v_last
             threshold = top - width - nu * (base + abs(top))
         if threshold > floor:
-            if live is None:
-                live = np.arange(t_total + 1)
-                live_best = best.copy()
-                n_live = t + 1
-            keep = live_best[0, :n_live] >= threshold
+            keep = prefix[0, :n] >= threshold
             n_keep = int(np.count_nonzero(keep))
-            live[:n_keep] = live[:n_live][keep]
-            live_best[:, :n_keep] = live_best[:, :n_live][:, keep]
-            n_live = n_keep
-            floor = float(live_best[0, :n_live].min())
+            live[:n_keep] = live[:n][keep]
+            prefix[:, :n_keep] = prefix[:, :n][:, keep]
+            n = n_keep
+            floor = float(prefix[0, :n].min())
 
     out = []
     for rank in range(ranks):
-        if not np.isfinite(best[rank, t_total]):
+        if not np.isfinite(prefix[rank, n]):
             break
         starts, t, r = [], t_total, rank
         while t > 0:
@@ -178,10 +173,12 @@ def dp_segment(ctx: ScoreContext, model: SegmentalModel,
                max_seg_frames: int | None = None):
     """Best segmentation with a free segment count; exact when uncapped.
 
-    max_seg_frames caps segment length (smaller search, faster training);
-    any cap >= T reproduces the uncapped result. The reported value is the
-    canonical score of the returned segmentation, so it is bit-identical to
-    score_segmentation on the result.
+    max_seg_frames caps segment length (smaller search, faster training).
+    A cap >= T sweeps unpruned, and equals the uncapped sweep by measurement,
+    not by proof: a pruned column may round a span's last bits differently
+    (see _top_segmentations). The reported value is the canonical score of
+    the returned segmentation, so it is bit-identical to score_segmentation
+    on the result.
     """
     return _top_segmentations(ctx, model, max_seg_frames, 1)[0]
 

@@ -161,7 +161,8 @@ def compute_mfcc(w: Waveform, cfg: FeatureConfig) -> FrameMatrix:
     """13 (by default) cepstral coefficients per frame, including coefficient 0."""
     energies = np.maximum(mel_energies(w, cfg), LOG_FLOOR)
     ceps = dct(np.log(energies), type=2, norm="ortho", axis=1)[:, :cfg.n_mfcc]
-    return FrameMatrix(ceps, cfg.frame_shift)
+    # frames step a whole number of samples, which at some rates is not cfg.frame_shift
+    return FrameMatrix(ceps, cfg.shift_samples(w.sample_rate) / w.sample_rate)
 
 
 def _delta(x: np.ndarray, n_window: int) -> np.ndarray:
@@ -228,7 +229,7 @@ def assemble_features(w: Waveform, cfg: FeatureConfig,
     mfcc = compute_mfcc(w, cfg)
     with_deltas = append_deltas(mfcc, cfg.delta_window)
     dists = spectral_change_features(with_deltas, cfg.spectral_js)
-    out = FrameMatrix(np.hstack([with_deltas.data, dists.data]), cfg.frame_shift)
+    out = FrameMatrix(np.hstack([with_deltas.data, dists.data]), mfcc.frame_shift)
     if cfg.normalize and stats is not None:
         out = apply_stats(out, stats)
     return out

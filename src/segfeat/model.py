@@ -248,7 +248,7 @@ def _header_section(header: dict, section: str, config_cls, path) -> dict:
 
 @dataclass
 class ScoreContext:
-    """Per-utterance cache: hidden states, unary scores, and prefix sums.
+    """Per-utterance cache: hidden states, unary scores, projected prefix sums.
 
     Immutable after construction; the tape it was built on is kept so that
     the hinge can record its node there, whose backward reaches unary and q.
@@ -257,8 +257,7 @@ class ScoreContext:
     tape: Tape
     hidden: Tensor   # T x 2H
     unary: Tensor    # T x 1
-    prefix: Tensor   # (T+1) x 2H
-    q: Tensor        # (T+1) x H, prefix @ W1 of the bigram head
+    q: Tensor        # (T+1) x H, the hidden prefix sums @ W1 of the bigram head
 
     @property
     def n_frames(self) -> int:
@@ -279,9 +278,8 @@ class ScoreContext:
 
 def context_from_hidden(tape: Tape, model: SegmentalModel, hidden: Tensor) -> ScoreContext:
     unary = mlp2(tape, hidden, *model.head_unary)
-    prefix = tape.prefix_sum(hidden)
-    q = tape.matmul(prefix, model.head_bigram[0])
-    return ScoreContext(tape=tape, hidden=hidden, unary=unary, prefix=prefix, q=q)
+    q = tape.matmul(tape.prefix_sum(hidden), model.head_bigram[0])
+    return ScoreContext(tape=tape, hidden=hidden, unary=unary, q=q)
 
 
 def build_context(model: SegmentalModel, features, tape: Tape | None = None) -> ScoreContext:

@@ -22,6 +22,12 @@ def mlp2_np(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     return np.tanh(x @ w1.value + b1.value) @ w2.value + b2.value
 
 
+def prefix_sums(ctx):
+    """(T+1) x 2H prefix sums of the hidden states, built as Tape.prefix_sum does."""
+    hidden = ctx.hidden_np
+    return np.vstack([np.zeros((1, hidden.shape[1])), np.cumsum(hidden, axis=0)])
+
+
 def random_context(model, n_frames, rng, scale=2.0, tape_cls=Tape):
     """Context with injected random hidden states: a random score instance."""
     hidden = rng.normal(size=(n_frames, 2 * model.cfg.hidden_size)) * scale

@@ -13,7 +13,8 @@ from segfeat.audio import write_wav
 from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main
 from segfeat.config import SCHEMA, ConfigError, load_run_config
 from segfeat.data import (CorpusManifest, SynthConfig, read_boundaries_csv, read_manifest,
-                          split_nonspeech, split_train_val)
+                          split_nonspeech, split_train_val, write_boundaries_csv,
+                          write_manifest)
 from segfeat.features import FeatureConfig, read_features_bin, read_stats
 from segfeat.metrics import TolerancePolicy, evaluate_corpus
 from segfeat.model import ModelConfig, SegmentalModel
@@ -488,6 +489,25 @@ def test_segment_long_recording_in_bounded_memory(tmp_path):
     assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
+def test_segment_times_follow_the_whole_sample_frame_step_at_22050_hz(tmp_path):
+    """At 22050 Hz a 10 ms shift rounds to 220 samples, so frame b starts at
+    b * 220 / 22050 s. Timing frames at the nominal 0.010 s put the last
+    boundary of a 10 s recording 22.7 ms late, past the 20 ms tolerance.
+    With k equal to the frame count every frame is a boundary."""
+    rate = 22050
+    model = SegmentalModel(ModelConfig(hidden_size=4, num_layers=1, sample_rate=rate),
+                           FeatureConfig())
+    model.save(tmp_path / "model.bin")
+    wav = tmp_path / "long.wav"
+    write_wav(wav, np.random.default_rng(0).normal(scale=0.1, size=10 * rate), rate)
+    n_frames = (10 * rate - 220) // 220 + 1
+    rc = main(["segment", "--model", str(tmp_path / "model.bin"), "--wav", str(wav),
+               "--out", str(tmp_path / "o"), "--k", str(n_frames)])
+    assert rc == EXIT_OK
+    times = read_boundaries_csv(tmp_path / "o" / "long.csv")
+    assert times == [b * (220 / rate) for b in range(1, n_frames)]
+
+
 def _segment_with_model(tmp_path, corpus_dir, model_path):
     wav = str(read_manifest(corpus_dir / "manifest.csv", 16000).entries[0].wav_path)
     return main(["segment", "--model", str(model_path), "--wav", wav,
@@ -634,6 +654,22 @@ def test_eval_reads_seconds_csv_annotations(tmp_path, corpus_dir, capsys):
     csv_line = capsys.readouterr().out.splitlines()[-1]
     assert csv_line.startswith("100.0000,100.0000")
     assert csv_line.endswith(f",{n_ref},{n_ref},{n_ref}") and n_ref > 0
+
+
+@pytest.mark.parametrize("end", ["inf", "1e400", "-inf", "nan"])
+def test_eval_rejects_non_finite_seconds_annotation_times(tmp_path, capsys, end):
+    """A non-finite time is a data error naming the file and line, not a
+    crash in the conversion to samples."""
+    write_wav(tmp_path / "u1.wav", np.zeros(1600), 16000)
+    ann = tmp_path / "u1.csv"
+    ann.write_text(f"0.0,0.05,sil\n0.05,{end},aa\n", encoding="ascii")
+    write_manifest(tmp_path / "manifest.csv", [(str(tmp_path / "u1.wav"), ann.name, "test")])
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    write_boundaries_csv(pred / "u1.csv", [0.05])
+    rc = main(["eval", "--pred", str(pred), "--manifest", str(tmp_path / "manifest.csv")])
+    assert rc == EXIT_DATA
+    assert f"{ann}:2: segment times must be finite" in capsys.readouterr().err
 
 
 def test_eval_missing_prediction(tmp_path, corpus_dir):

@@ -12,7 +12,7 @@ from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k, dp_two
 from segfeat.model import (Segmentation, bigram_scores_np, context_from_hidden,
                            score_segmentation)
 
-from conftest import mlp2_np, random_context, small_model, toy_context
+from conftest import mlp2_np, prefix_sums, random_context, small_model, toy_context
 from reference_dp import reference_dp_segment, reference_dp_two_best
 from reference_tape import ReferenceTape, composed_score
 
@@ -294,7 +294,8 @@ def test_property_projected_scores_match_unfactored_reference(flags, t_total, se
     assert composed_score(ctx, model, seg).item() == score_segmentation(ctx, model, seg)
 
     starts, ends = np.triu_indices(t_total + 1, k=1)
-    x = ctx.prefix.value[ends] - ctx.prefix.value[starts]
+    pre = prefix_sums(ctx)
+    x = pre[ends] - pre[starts]
     if model.cfg.mean_bigram:
         x = x / (ends - starts)[:, None]
     want = mlp2_np(x, *model.head_bigram)[:, 0]
@@ -468,10 +469,20 @@ def test_uncapped_sweep_scores_under_half_the_spans_of_a_long_saturated_context(
 
 
 def test_capped_two_best_scores_every_span_under_the_cap():
-    """Training's sweep (cap 50) is not pruned: column t scores min(t, 50) rows."""
+    """Capped sweeps drop a start only when it falls out of the cap: column t
+    scores min(t, cap) rows, at caps 1, 50 and T, on a saturated context on
+    which the uncapped sweep does prune."""
     model = small_model()
-    ctx = random_context(model, 300, np.random.default_rng(22))
+    rng = np.random.default_rng(22)
+    ctx = random_context(model, 300, rng, scale=1e3)
+    ctx.unary.value[:, 0] = rng.normal(size=300) * 1e3
     with _scored_rows() as rows:
-        two = dp_two_best(ctx, model, 50)
-    assert rows == [min(t, 50) for t in range(1, 301)]
-    assert two == reference_dp_two_best(ctx, model, 50)
+        dp_segment(ctx, model)
+    assert sum(rows) < _full_column_rows(model, 300), "pruning never fired"
+    for cap in (1, 50, 300):
+        for decode, reference in ((dp_segment, reference_dp_segment),
+                                  (dp_two_best, reference_dp_two_best)):
+            with _scored_rows() as rows:
+                got = decode(ctx, model, cap)
+            assert rows == [min(t, cap) for t in range(1, 301)]
+            assert got == reference(ctx, model, cap)

@@ -16,6 +16,16 @@ def tone(freq, seconds=1.0, rate=RATE, amp=0.8):
     return Waveform(amp * np.sin(2 * np.pi * freq * t), rate)
 
 
+@pytest.mark.parametrize("rate,shift_samples", [(16000, 160), (22050, 220), (11025, 110)])
+def test_frame_shift_is_the_whole_sample_step(rate, shift_samples):
+    """Frames step cfg.shift_samples(rate) samples, so the matrix's shift is
+    that step in seconds: 0.010 at 16 kHz, 220 / 22050 at 22050 Hz."""
+    w = tone(440, 0.5, rate)
+    cfg = FeatureConfig()
+    assert compute_mfcc(w, cfg).frame_shift == shift_samples / rate
+    assert assemble_features(w, cfg).frame_shift == shift_samples / rate
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         FeatureConfig(frame_shift=0.0)

@@ -7,7 +7,8 @@ from segfeat.model import (MODEL_MAGIC, SegmentalModel, Segmentation, bigram_sco
                            boundary_logits, build_context, context_from_hidden,
                            phoneme_logits, score_segmentation)
 
-from conftest import edit_model_header, mlp2_np, random_context, small_model, toy_context
+from conftest import (edit_model_header, mlp2_np, prefix_sums, random_context, small_model,
+                      toy_context)
 from reference_tape import ReferenceTape, composed_score
 
 
@@ -37,16 +38,14 @@ def test_build_context_shapes_and_prefix():
     ctx = build_context(model, feats)
     assert ctx.hidden.value.shape == (5, 8)
     assert ctx.unary.value.shape == (5, 1)
-    assert ctx.prefix.value.shape == (6, 8)
-    assert np.allclose(ctx.prefix.value[-1], ctx.hidden_np.sum(axis=0))
-    # exact telescoping, not just approximate
-    diffs = ctx.prefix.value[1:] - ctx.prefix.value[:-1]
-    assert np.array_equal(diffs, np.cumsum(ctx.hidden_np, axis=0)
-                          - np.vstack([np.zeros((1, 8)), np.cumsum(ctx.hidden_np, axis=0)[:-1]]))
+    # q is the bigram head's first layer over the hidden prefix sums, bit for bit
+    pre = prefix_sums(ctx)
+    assert np.allclose(pre[-1], ctx.hidden_np.sum(axis=0))
+    assert np.array_equal(ctx.q_np, pre @ model.head_bigram[0].value)
 
     ctx1 = build_context(model, feats[:1])
     assert ctx1.unary.value.shape == (1, 1)
-    assert ctx1.prefix.value.shape == (2, 8)
+    assert ctx1.q_np.shape == (2, 4)
 
 
 def test_build_context_dimension_mismatch():
@@ -86,7 +85,7 @@ def test_bigram_single_frame_and_full_span():
 def test_bigram_argument_additivity():
     model = small_model()
     ctx = random_context(model, 7, np.random.default_rng(3))
-    pre = ctx.prefix.value
+    pre = prefix_sums(ctx)
     arg = lambda s, e: pre[e] - pre[s]
     assert np.allclose(arg(0, 3) + arg(3, 7), arg(0, 7))
 
@@ -197,8 +196,8 @@ def test_shared_head_mode():
 def test_mean_bigram_mode():
     model = small_model(mean_bigram=True)
     ctx = random_context(model, 6, np.random.default_rng(11), tape_cls=ReferenceTape)
-    want = mlp2_np((ctx.prefix.value[6] - ctx.prefix.value[0])[None, :] / 6.0,
-                   *model.head_bigram)[0, 0]
+    pre = prefix_sums(ctx)
+    want = mlp2_np((pre[6] - pre[0])[None, :] / 6.0, *model.head_bigram)[0, 0]
     assert bigram_scores_np(ctx, model, [0], [6])[0] == pytest.approx(want, abs=1e-12)
     # one segment, no boundary: the composed score is the span's bigram score
     taped = composed_score(ctx, model, Segmentation((), 6))
