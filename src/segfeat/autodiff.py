@@ -167,52 +167,21 @@ class Tape:
         """One bidirectional LSTM layer over a T x in_dim sequence; returns T x 2H.
 
         `fw` and `bw` are (wx, wh, b) triples with the gates laid out
-        [input | forget | candidate | output]. The forward direction runs
-        over frames 0..T-1 and the backward one over T-1..0 in the same
-        loop: step k holds both as a stacked 2 x 1 x 4H preactivation, so one
-        cell's numpy calls serve both directions. The input projections are
-        batched over all frames; the whole layer is a single node whose
-        backward is hand-written BPTT. A stacked product rounds as each of
-        its 2-D products and element-wise ops ignore stacking, so with the
-        float operations in the order of a per-frame cell the results do not
-        depend on how the recurrence is recorded.
+        [input | forget | candidate | output]. The forward pass is
+        `bilstm_scan` over this one sequence; the whole layer is a single
+        node whose backward is hand-written BPTT over the scan's caches.
         """
         xv = x.value
-        hdim = _lstm_hidden(xv, *fw)
-        if _lstm_hidden(xv, *bw) != hdim:
-            raise ValueError(f"bilstm directions differ in hidden size: "
-                             f"{fw[1].value.shape} vs {bw[1].value.shape}")
         if any(a is b for a in fw for b in bw):
             # the backward sets each direction's wh grad on its own; a shared
             # wh would keep only the backward direction's
             raise ValueError("bilstm directions must not share a tensor")
-        h2, h3 = 2 * hdim, 3 * hdim
-        tsteps = xv.shape[0]
-        # per-step inputs: frame k forward, frame T-1-k backward, each
-        # projection as affine computes it
-        xp = np.empty((tsteps, 2, 1, 4 * hdim))
-        xp[:, 0, 0] = xv @ fw[0].value + fw[2].value
-        xp[::-1, 1, 0] = xv @ bw[0].value + bw[2].value
+        (outv,), caches = bilstm_scan([xv], fw, bw)
+        hs, cs, gates, tcs = (a[:, :, 0] for a in caches)  # the batch axis, B = 1
         wh = np.stack([fw[1].value, bw[1].value])
-        hs = np.zeros((tsteps + 1, 2, 1, hdim))  # row k + 1: the state after step k
-        cs = np.zeros((tsteps + 1, 2, 1, hdim))
-        gates = np.empty((tsteps, 2, 1, 4 * hdim))  # sigmoid row, candidate slot holds tanh
-        tcs = np.empty((tsteps, 2, 1, hdim))
-        for k in range(tsteps):
-            p = xp[k] + hs[k] @ wh
-            s = gates[k]
-            np.multiply(p, 0.5, out=s)  # the _sigmoid identity, in place
-            np.tanh(s, out=s)
-            s += 1.0
-            s *= 0.5
-            g = s[..., h2:h3]
-            np.tanh(p[..., h2:h3], out=g)
-            c = cs[k + 1]
-            np.multiply(s[..., hdim:h2], cs[k], out=c)
-            c += s[..., :hdim] * g
-            np.tanh(c, out=tcs[k])
-            np.multiply(s[..., h3:], tcs[k], out=hs[k + 1])
-        out = self._make(np.concatenate([hs[1:, 0, 0], hs[:0:-1, 1, 0]], axis=1))
+        hdim = wh.shape[1]
+        tsteps = xv.shape[0]
+        out = self._make(outv)
 
         def back():
             dout = out.grad
@@ -229,7 +198,7 @@ class Tape:
             m3 = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=-1)
             dtc = 1.0 - tcs * tcs
             whT = wh.transpose(0, 2, 1)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros_like(gates)
             gx = np.empty((2, 1, 4 * hdim))
             gx4 = gx.reshape(2, 1, 4, hdim)
             gpre = np.empty_like(gx)
@@ -304,6 +273,61 @@ class Tape:
         return out
 
 
+def bilstm_scan(xs, fw, bw):
+    """Forward scan of one bidirectional LSTM layer over B sequences at once.
+
+    `xs` holds B arrays of shape T_b x in_dim; `fw` and `bw` are (wx, wh, b)
+    triples of tensors. Returns the B outputs (T_b x 2H, frame order, forward
+    half first) and the caches BPTT needs, (hs, cs, gates, tcs), each shaped
+    (steps, 2, B, 1, width) with one more leading row in hs and cs.
+
+    Both directions of every sequence start at step 0: step k holds frame k
+    of the forward direction and frame T_b-1-k of the backward one, and a
+    sequence shorter than the longest is padded at the end, so its padded
+    steps feed none of its outputs. Each input projection is its own
+    `x @ wx + b` product and each step's recurrence one stacked
+    (2, B, 1, H) @ (2, 1, H, 4H) product, which rounds as its per-sequence
+    1 x H products do (stacking sequences as the rows of one B x H product
+    would not). Element-wise ops ignore the stacking, so every output equals
+    that of a scan over its sequence alone, byte for byte.
+    """
+    for xv in xs:
+        hdim = _lstm_hidden(xv, *fw)
+        if _lstm_hidden(xv, *bw) != hdim:
+            raise ValueError(f"bilstm directions differ in hidden size: "
+                             f"{fw[1].value.shape} vs {bw[1].value.shape}")
+    h2, h3 = 2 * hdim, 3 * hdim
+    lengths = [xv.shape[0] for xv in xs]
+    steps, nb = max(lengths), len(xs)
+    # step k's input projections, each as affine computes it; step k then
+    # overwrites its row with its gates (sigmoid, candidate slot tanh)
+    gates = np.zeros((steps, 2, nb, 1, 4 * hdim))
+    for j, xv in enumerate(xs):
+        gates[:lengths[j], 0, j, 0] = xv @ fw[0].value + fw[2].value
+        gates[:lengths[j]][::-1, 1, j, 0] = xv @ bw[0].value + bw[2].value
+    wh = np.stack([fw[1].value, bw[1].value])[:, None]
+    hs = np.zeros((steps + 1, 2, nb, 1, hdim))  # row k + 1: the state after step k
+    cs = np.zeros((steps + 1, 2, nb, 1, hdim))
+    tcs = np.empty((steps, 2, nb, 1, hdim))
+    for k in range(steps):
+        s = gates[k]
+        p = s + hs[k] @ wh
+        np.multiply(p, 0.5, out=s)  # the _sigmoid identity, in place
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5
+        g = s[..., h2:h3]
+        np.tanh(p[..., h2:h3], out=g)
+        c = cs[k + 1]
+        np.multiply(s[..., hdim:h2], cs[k], out=c)
+        c += s[..., :hdim] * g
+        np.tanh(c, out=tcs[k])
+        np.multiply(s[..., h3:], tcs[k], out=hs[k + 1])
+    outs = [np.concatenate([hs[1:n + 1, 0, j, 0], hs[n:0:-1, 1, j, 0]], axis=1)
+            for j, n in enumerate(lengths)]
+    return outs, (hs, cs, gates, tcs)
+
+
 def _lstm_hidden(xv, wx: Tensor, wh: Tensor, b: Tensor) -> int:
     """Hidden size H of one LSTM direction; raises on mismatched shapes."""
     hdim = wh.value.shape[0]
@@ -330,20 +354,30 @@ class ParameterSet:
         self._params: dict[str, Tensor] = {}
         self.values = np.zeros(0)
         self.grads = np.zeros(0)
+        self._spare = (self.values, self.grads)  # the buffers with room to grow
 
     def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         value = np.asarray(value, dtype=np.float64)
-        self.values = np.concatenate([self.values, value.reshape(-1)])
-        self.grads = np.concatenate([self.grads, np.zeros(value.size)])
+        start = self.values.size
+        end = start + value.size
+        moved = end > self._spare[0].size
+        if moved:  # grow geometrically, so n adds copy O(n) values in all
+            cap = max(end, 2 * start)
+            self._spare = (np.empty(cap), np.empty(cap))
+            self._spare[0][:start], self._spare[1][:start] = self.values, self.grads
+        vbuf, gbuf = self._spare
+        vbuf[start:end] = value.reshape(-1)
+        gbuf[start:end] = 0.0
+        self.values, self.grads = vbuf[:end], gbuf[:end]
         self._params[name] = new = Tensor(value)
-        start = 0
-        for t in self._params.values():  # the buffers moved: rebind every view
-            end = start + t.value.size
-            t.value = self.values[start:end].reshape(t.value.shape)
-            t.grad = self.grads[start:end].reshape(t.value.shape)
-            start = end
+        offset = 0 if moved else start
+        for t in (self._params.values() if moved else (new,)):  # the views whose data moved
+            size = t.value.size
+            t.value = self.values[offset:offset + size].reshape(t.value.shape)
+            t.grad = self.grads[offset:offset + size].reshape(t.value.shape)
+            offset += size
         return new
 
     def __getitem__(self, name: str) -> Tensor:

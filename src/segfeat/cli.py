@@ -20,7 +20,7 @@ from .decode import dp_segment, dp_segment_k
 from .features import (assemble_features, corpus_stats, write_features_bin, write_features_csv,
                        write_stats)
 from .metrics import TolerancePolicy, evaluate_times
-from .model import SegmentalModel, build_context
+from .model import SegmentalModel, build_context, build_contexts
 from .train import fit, write_epoch_logs
 
 EXIT_OK = 0
@@ -155,13 +155,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _segment_one(model, wav_path, out_dir, k, textgrid) -> Path:
+def _load_recording(model, wav_path):
+    """(path, WAV, features) of one recording at the model's rate."""
     wav = read_wav(wav_path)
     if wav.sample_rate != model.cfg.sample_rate:
         raise ValueError(f"{wav_path}: sample rate {wav.sample_rate} does not match "
                          f"the model's rate {model.cfg.sample_rate}")
-    feats = assemble_features(wav, model.feature_cfg, model.stats)
-    ctx = build_context(model, feats)
+    return wav_path, wav, assemble_features(wav, model.feature_cfg, model.stats)
+
+
+def _segment_one(model, ctx, recording, out_dir, k, textgrid):
+    wav_path, wav, feats = recording
     if k is None:
         seg, _ = dp_segment(ctx, model, max_seg_frames=None)
     else:
@@ -172,7 +176,6 @@ def _segment_one(model, wav_path, out_dir, k, textgrid) -> Path:
     write_boundaries_csv(out, times)
     if textgrid:
         write_textgrid(Path(out_dir) / f"{key}.TextGrid", times, wav.duration)
-    return out
 
 
 def cmd_segment(args) -> int:
@@ -186,14 +189,19 @@ def cmd_segment(args) -> int:
     out_dir = Path(_resolve_path(args.out, cfg, "out_dir", "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.wav is not None:
-        wavs = [Path(args.wav)]
+        recording = _load_recording(model, Path(args.wav))
+        decoded = [(recording, build_context(model, recording[2]))]
     else:
         manifest = read_manifest(args.manifest, model.cfg.sample_rate,
                                  cfg["data"]["annotation_unit"])
-        wavs = [e.wav_path for e in manifest.entries]
-    for wav_path in wavs:
-        _segment_one(model, wav_path, out_dir, args.k, args.textgrid)
-    print(f"wrote boundaries for {len(wavs)} utterance(s) to {out_dir}")
+        recordings = (_load_recording(model, e.wav_path) for e in manifest.entries)
+        # batched encoder scans; each context equals build_context's
+        decoded = build_contexts(model, ((rec, rec[2]) for rec in recordings))
+    count = 0
+    for recording, ctx in decoded:
+        _segment_one(model, ctx, recording, out_dir, args.k, args.textgrid)
+        count += 1
+    print(f"wrote boundaries for {count} utterance(s) to {out_dir}")
     return EXIT_OK
 
 

@@ -60,7 +60,12 @@ def read_phn(path) -> Annotation:
                 continue
             if len(tokens) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'start end symbol'")
-            segments.append((int(tokens[0]), int(tokens[1]), tokens[2]))
+            try:
+                start, end = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: segment times must be "
+                                 f"whole sample numbers") from None
+            segments.append((start, end, tokens[2]))
     return Annotation(segments)
 
 
@@ -75,7 +80,10 @@ def read_ann_csv(path, sample_rate: int) -> Annotation:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'start_s,end_s,symbol'")
-            start, end = (float(x) * sample_rate for x in parts[:2])
+            try:
+                start, end = (float(x) * sample_rate for x in parts[:2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: segment times must be numbers") from None
             if not (math.isfinite(start) and math.isfinite(end)):
                 raise ValueError(f"{path}:{lineno}: segment times must be finite")
             segments.append((int(round(start)), int(round(end)), parts[2].strip()))
@@ -389,10 +397,17 @@ def read_boundaries_csv(path):
         header = f.readline().strip()
         if header != "time_s":
             raise ValueError(f"expected 'time_s' header in {path}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             line = line.strip()
-            if line:
-                times.append(float(line))
+            if not line:
+                continue
+            try:
+                t = float(line)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: boundary times must be numbers") from None
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: boundary times must be finite")
+            times.append(t)
     return times
 
 

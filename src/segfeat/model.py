@@ -20,10 +20,15 @@ import numpy as np
 
 from .autodiff import ParameterSet, Tape, Tensor, _acc
 from .features import FeatureConfig, FeatureStats, FrameMatrix
-from .nn import bilstm_encode, init_affine, init_lstm, mlp2
+from .nn import bilstm_encode, bilstm_encode_many, init_affine, init_lstm, mlp2
 
 MODEL_MAGIC = b"SEGFEAT\x00"
 MODEL_VERSION = 1
+
+# Padded frames (utterances x longest) that one batched encoder scan may
+# hold, which bounds its caches; chosen from a measured sweep of batch
+# encoding time. An utterance longer than this scans alone.
+_SCAN_FRAMES = 2048
 
 
 @dataclass(frozen=True)
@@ -282,14 +287,65 @@ def context_from_hidden(tape: Tape, model: SegmentalModel, hidden: Tensor) -> Sc
     return ScoreContext(tape=tape, hidden=hidden, unary=unary, q=q)
 
 
-def build_context(model: SegmentalModel, features, tape: Tape | None = None) -> ScoreContext:
-    """Encode an utterance and cache everything segment scoring needs."""
+def _feature_array(model: SegmentalModel, features) -> np.ndarray:
     data = features.data if isinstance(features, FrameMatrix) else np.asarray(features)
     if data.ndim != 2 or data.shape[1] != model.cfg.input_dim:
         raise ValueError(f"expected T x {model.cfg.input_dim} features, got {data.shape}")
+    return data
+
+
+def build_context(model: SegmentalModel, features, tape: Tape | None = None) -> ScoreContext:
+    """Encode an utterance and cache everything segment scoring needs."""
+    data = _feature_array(model, features)
     tape = tape if tape is not None else Tape()
     hidden = bilstm_encode(tape, tape.tensor(data), model.layers)
     return context_from_hidden(tape, model, hidden)
+
+
+def scan_groups(lengths, budget: int) -> list:
+    """Indices into `lengths`, grouped in ascending length order so that a
+    group's padded frames (its size times its longest length) stay within
+    `budget`; an utterance longer than the budget forms a group alone."""
+    groups = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if groups and (len(groups[-1]) + 1) * lengths[i] <= budget:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def build_contexts(model: SegmentalModel, items):
+    """Yield (item, context) for each (item, features) pair, in input order.
+
+    Each context equals `build_context(model, features)`'s byte for byte,
+    but the encoder runs batched: consecutive utterances are taken in
+    windows of up to `_SCAN_FRAMES` frames (or one longer utterance), and
+    each window is encoded in `scan_groups`, one `bilstm_scan` per group and
+    layer. So a scan's caches stay within the budget, and only one window's
+    features and hidden states are held at a time. The contexts carry no
+    gradients back into the encoder.
+    """
+    window, frames = [], 0
+    for item, features in items:
+        data = _feature_array(model, features)
+        if window and frames + data.shape[0] > _SCAN_FRAMES:
+            yield from _encode_window(model, window)
+            window, frames = [], 0
+        window.append((item, data))
+        frames += data.shape[0]
+    yield from _encode_window(model, window)
+
+
+def _encode_window(model: SegmentalModel, window):
+    hidden = [None] * len(window)
+    for group in scan_groups([data.shape[0] for _, data in window], _SCAN_FRAMES):
+        outs = bilstm_encode_many([window[i][1] for i in group], model.layers)
+        for i, h in zip(group, outs):
+            hidden[i] = h
+    for (item, _), h in zip(window, hidden):
+        tape = Tape()
+        yield item, context_from_hidden(tape, model, tape.tensor(h))
 
 
 def _bigram_hidden(ctx: ScoreContext, model: SegmentalModel, starts, ends) -> np.ndarray:

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ParameterSet, Tape, Tensor
+from .autodiff import ParameterSet, Tape, Tensor, bilstm_scan
 
 
 class LstmParams(NamedTuple):
@@ -52,6 +52,20 @@ def bilstm_encode(tape: Tape, x: Tensor, layers) -> Tensor:
     for fw, bw in layers:
         out = tape.bilstm(out, fw, bw)
     return out
+
+
+def bilstm_encode_many(xs, layers) -> list:
+    """`bilstm_encode` of several T_b x in_dim arrays, without a tape.
+
+    Each layer is one `bilstm_scan` over all of them, so the outputs equal
+    one `bilstm_encode` per array byte for byte, at a cost in padded steps
+    (every array is scanned for as many steps as the longest).
+    """
+    if any(x.shape[0] < 1 for x in xs):
+        raise ValueError("need at least one frame")
+    for fw, bw in layers:
+        xs = bilstm_scan(xs, fw, bw)[0]  # drops the caches before the next layer
+    return xs
 
 
 def mlp2(tape: Tape, x: Tensor, w1, b1, w2, b2) -> Tensor:

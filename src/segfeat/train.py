@@ -12,7 +12,8 @@ from .autodiff import Tape
 from .decode import dp_segment
 from .losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
 from .metrics import EvalReport, TolerancePolicy, evaluate_corpus
-from .model import SegmentalModel, build_context, boundary_logits, phoneme_logits
+from .model import (SegmentalModel, boundary_logits, build_context, build_contexts,
+                    phoneme_logits)
 from .optim import AdamState, adam_step, clip_grad_norm
 
 LOSS_NAMES = ("segfeat", "phn", "bin")
@@ -112,11 +113,14 @@ class FitResult:
 
 
 def validate_model(model: SegmentalModel, utterances, tolerance: float):
-    """Uncapped decoding of every utterance, micro-aggregated metrics."""
+    """Uncapped decoding of every utterance, micro-aggregated metrics.
+
+    The utterances are encoded in batched scans (`build_contexts`), with
+    the outputs of one `build_context` per utterance.
+    """
     preds = {}
     refs = {}
-    for utt in utterances:
-        ctx = build_context(model, utt.features)
+    for utt, ctx in build_contexts(model, ((u, u.features) for u in utterances)):
         seg, _ = dp_segment(ctx, model, max_seg_frames=None)
         preds[utt.key] = (seg, utt.features.frame_shift)
         refs[utt.key] = (utt.gold, utt.features.frame_shift)

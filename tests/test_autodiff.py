@@ -3,13 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segfeat
 from segfeat import autodiff
 from segfeat.autodiff import ParameterSet, Tape, grad_check
-from segfeat.nn import LstmParams, bilstm_encode, init_lstm, mlp2
+from segfeat.nn import LstmParams, bilstm_encode, bilstm_encode_many, init_lstm, mlp2
 
 from per_frame_lstm import PerFrameTape
 from reference_tape import ReferenceTape
@@ -346,6 +346,39 @@ def test_bilstm_is_bit_identical_to_per_frame_tape_at_workload_shapes(tsteps, hi
     # the benchmark's TIMIT-like and desk shapes: larger products than the
     # property draws, which BLAS may route through other kernels
     _assert_bilstm_bytes_match_per_frame_tape(tsteps, hidden, 43, 2, seed=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6), equal=st.booleans(),
+       hidden=st.integers(1, 6), in_dim=st.integers(1, 5), n_layers=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(lengths=[1, 1, 1], equal=False, hidden=2, in_dim=3, n_layers=2, seed=0)
+@example(lengths=[7, 7, 7, 7], equal=False, hidden=3, in_dim=2, n_layers=2, seed=1)
+@example(lengths=[1, 12, 5, 1, 9, 3], equal=False, hidden=6, in_dim=5, n_layers=2, seed=2)
+def test_property_batched_scan_is_bit_identical_to_one_scan_per_sequence(
+        lengths, equal, hidden, in_dim, n_layers, seed):
+    """Every output of one scan over B sequences (mixed, equal or one-frame
+    lengths, padded at the end) equals, byte for byte, the per-frame tape's
+    and the kernel's B=1 output for that sequence alone."""
+    if equal:
+        lengths = [lengths[0]] * len(lengths)
+    rng = np.random.default_rng(seed)
+    layers = _make_layers(ParameterSet(), rng, in_dim, hidden, n_layers)
+    xs = [rng.normal(size=(n, in_dim)) for n in lengths]
+    batched = bilstm_encode_many(xs, layers)
+    assert len(batched) == len(xs)
+    for x, got in zip(xs, batched):
+        tape = PerFrameTape()
+        want = bilstm_encode(tape, tape.tensor(x), layers).value
+        assert got.shape == want.shape == (x.shape[0], 2 * hidden)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == bilstm_encode_many([x], layers)[0].tobytes()
+
+
+def test_batched_scan_rejects_an_empty_sequence():
+    layers = _make_layers(ParameterSet(), np.random.default_rng(0), 3, 2, 1)
+    with pytest.raises(ValueError, match="at least one frame"):
+        bilstm_encode_many([np.ones((4, 3)), np.ones((0, 3))], layers)
 
 
 def test_parameter_set_basics():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from segfeat import cli as cli_module
+from segfeat import model as model_module
 from segfeat import train as train_module
 from segfeat.audio import write_wav
 from segfeat.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main
@@ -445,6 +446,29 @@ def test_segment_command(tmp_path, corpus_dir, trained_dir):
     assert (out / f"{key}.TextGrid").exists()
 
 
+@pytest.mark.parametrize("budget", [150, model_module._SCAN_FRAMES])
+@pytest.mark.parametrize("k", [None, 3])
+def test_segment_manifest_writes_what_one_segment_wav_per_file_writes(
+        tmp_path, corpus_dir, trained_dir, monkeypatch, budget, k):
+    """`segment --manifest` encodes in batched scans; every CSV and TextGrid
+    it writes equals, byte for byte, that of one `segment --wav` call."""
+    monkeypatch.setattr(model_module, "_SCAN_FRAMES", budget)
+    flags = ["--model", str(trained_dir / "model_best.bin"), "--textgrid"]
+    flags += [] if k is None else ["--k", str(k)]
+    rc = main(["segment", *flags, "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(tmp_path / "batched")])
+    assert rc == EXIT_OK
+    entries = read_manifest(corpus_dir / "manifest.csv", 16000).entries
+    for entry in entries:
+        rc = main(["segment", *flags, "--wav", str(entry.wav_path),
+                   "--out", str(tmp_path / "single")])
+        assert rc == EXIT_OK
+    batched, single = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                       for d in ("batched", "single"))
+    assert len(batched) == 2 * len(entries)
+    assert batched == single
+
+
 def test_segment_k_one_gives_no_boundaries(tmp_path, corpus_dir, trained_dir):
     out = tmp_path / "predk"
     manifest = read_manifest(corpus_dir / "manifest.csv", 16000)
@@ -670,6 +694,45 @@ def test_eval_rejects_non_finite_seconds_annotation_times(tmp_path, capsys, end)
     rc = main(["eval", "--pred", str(pred), "--manifest", str(tmp_path / "manifest.csv")])
     assert rc == EXIT_DATA
     assert f"{ann}:2: segment times must be finite" in capsys.readouterr().err
+
+
+def _eval_one_utterance(tmp_path, ann_name, ann_text, pred_text):
+    """`segfeat eval` on one utterance with the given annotation and
+    prediction file contents; returns the exit code and both paths."""
+    write_wav(tmp_path / "u1.wav", np.zeros(1600), 16000)
+    ann = tmp_path / ann_name
+    ann.write_text(ann_text, encoding="ascii")
+    write_manifest(tmp_path / "manifest.csv", [(str(tmp_path / "u1.wav"), ann.name, "test")])
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "u1.csv").write_text(pred_text, encoding="ascii")
+    rc = main(["eval", "--pred", str(pred), "--manifest", str(tmp_path / "manifest.csv")])
+    return rc, ann, pred / "u1.csv"
+
+
+@pytest.mark.parametrize("ann_name, ann_text, message", [
+    ("u1.phn", "0 800 sil\n800 1600.5 aa\n", "2: segment times must be whole sample numbers"),
+    ("u1.phn", "0 x sil\n", "1: segment times must be whole sample numbers"),
+    ("u1.csv", "0.0,0.05,sil\nabc,0.1,aa\n", "2: segment times must be numbers"),
+], ids=["phn-fraction", "phn-word", "seconds-word"])
+def test_eval_rejects_unparsable_annotation_times(tmp_path, capsys, ann_name, ann_text, message):
+    rc, ann, _ = _eval_one_utterance(tmp_path, ann_name, ann_text, "time_s\n0.05\n")
+    assert rc == EXIT_DATA
+    assert f"{ann}:{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("abc", "boundary times must be numbers"),
+    ("nan", "boundary times must be finite"),
+    ("inf", "boundary times must be finite"),
+], ids=["word", "nan", "inf"])
+def test_eval_rejects_bad_prediction_times(tmp_path, capsys, line, message):
+    """A prediction time that does not parse, or is not finite, is a data
+    error naming the file and line (a NaN used to score as r-value nan)."""
+    rc, _, pred = _eval_one_utterance(tmp_path, "u1.phn", "0 800 sil\n800 1600 aa\n",
+                                      f"time_s\n0.02\n{line}\n")
+    assert rc == EXIT_DATA
+    assert f"{pred}:3: {message}" in capsys.readouterr().err
 
 
 def test_eval_missing_prediction(tmp_path, corpus_dir):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from segfeat import model as model_module
 from segfeat.autodiff import Tape
 from segfeat.features import FeatureStats
 from segfeat.model import (MODEL_MAGIC, SegmentalModel, Segmentation, bigram_scores_np,
-                           boundary_logits, build_context, context_from_hidden,
-                           phoneme_logits, score_segmentation)
+                           boundary_logits, build_context, build_contexts, context_from_hidden,
+                           phoneme_logits, scan_groups, score_segmentation)
 
 from conftest import (edit_model_header, mlp2_np, prefix_sums, random_context, small_model,
                       toy_context)
@@ -52,6 +55,46 @@ def test_build_context_dimension_mismatch():
     model = small_model()
     with pytest.raises(ValueError):
         build_context(model, np.zeros((4, 9)))
+    with pytest.raises(ValueError):
+        list(build_contexts(model, [("a", np.zeros((4, 8))), ("b", np.zeros((4, 9)))]))
+
+
+@pytest.mark.parametrize("budget", [1, 40, model_module._SCAN_FRAMES])
+def test_build_contexts_equal_one_build_context_each(monkeypatch, budget):
+    """Batched contexts come back in input order, each byte-equal to its own
+    build_context, and no scan holds more padded frames than the budget
+    unless it holds one utterance alone."""
+    scans = []
+
+    def recording(xs, layers):
+        scans.append([x.shape[0] for x in xs])
+        return encode_many(xs, layers)
+
+    encode_many = model_module.bilstm_encode_many
+    monkeypatch.setattr(model_module, "bilstm_encode_many", recording)
+    monkeypatch.setattr(model_module, "_SCAN_FRAMES", budget)
+    model = small_model()
+    rng = np.random.default_rng(8)
+    lengths = [9, 1, 30, 9, 2, 17, 45, 9, 3, 1, 12, 28, 5]
+    feats = [rng.normal(size=(n, 8)) for n in lengths]
+    got = list(build_contexts(model, enumerate(feats)))
+    assert [key for key, _ in got] == list(range(len(feats)))
+    for (_, ctx), f in zip(got, feats):
+        want = build_context(model, f)
+        for name in ("hidden", "unary", "q"):
+            assert getattr(ctx, name).value.tobytes() == getattr(want, name).value.tobytes()
+    assert sorted(n for scan in scans for n in scan) == sorted(lengths)
+    assert all(len(scan) == 1 or len(scan) * max(scan) <= budget for scan in scans)
+    assert budget < 45 or len(scans) < len(lengths)  # a budget that fits several batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 300), max_size=40), budget=st.integers(1, 3000))
+def test_property_scan_groups_are_length_sorted_and_within_budget(lengths, budget):
+    groups = scan_groups(lengths, budget)
+    assert [i for g in groups for i in g] == sorted(range(len(lengths)), key=lengths.__getitem__)
+    for g in groups:
+        assert len(g) == 1 or len(g) * max(lengths[i] for i in g) <= budget
 
 
 def test_zero_unary_head_gives_bias():

@@ -16,16 +16,17 @@ from pathlib import Path
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+RUN_PATH = TRACER_PATH.with_name("run.py")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", TRACER_PATH)
 POINTS = sorted({point for _, points in tracer.LAYERS for point in points} |
                 {point for _, point in tracer.StepProbe.POINTS})
 
@@ -55,3 +56,23 @@ def test_benchmark_smoke_run_passes_on_a_copy(tmp_path):
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("smoke ")]
     assert len(lines) == 6, proc.stdout
     assert all(": ok " in ln for ln in lines), proc.stdout
+
+
+@pytest.mark.parametrize("workload", ["train_desk", "train_timit", "segment_long"])
+def test_traced_smoke_run_finds_every_layer_and_runs_every_hook(tmp_path, monkeypatch, workload):
+    """Each hook reads its layer's arguments and result (the encoder hook, for
+    one, reads `x.value.shape`). The tracer counts a hook that cannot read
+    them as a hook error and goes on, so a package change that hands a
+    wrapped name other arguments must fail here. The run writes its work
+    files and spans under tmp_path, not into the checkout."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # run.py sets them on import; restored after
+    monkeypatch.syspath_prepend(str(RUN_PATH.parent))
+    run = _load("perfbench_run", RUN_PATH)
+    shutil.copy(RUN_PATH.parents[1] / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(run, "ROOT", tmp_path)
+    result, errors, notes = run.run(workload, seed=0, seconds=0.5, trace=True, smoke=True)
+    assert result["correct"], errors
+    assert notes["absent_layers"] == []
+    assert notes["hook_errors"] == {}

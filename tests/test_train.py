@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from segfeat import model as model_module
 from segfeat import train as train_module
 from segfeat.data import LabeledUtterance
+from segfeat.decode import dp_segment
 from segfeat.features import FeatureConfig, FrameMatrix
-from segfeat.model import ModelConfig, SegmentalModel, Segmentation
+from segfeat.metrics import TolerancePolicy, evaluate_corpus
+from segfeat.model import ModelConfig, SegmentalModel, Segmentation, build_context
 from segfeat.train import (EpochLog, TrainConfig, fit, read_epoch_logs, validate_model,
                            write_epoch_logs)
 
@@ -174,6 +177,30 @@ def test_validate_model_scores_tiny_corpus():
     report = validate_model(model, utts, 0.020)
     assert 0.0 <= report.recall <= 1.0
     assert report.n_ref == sum(len(u.gold.boundaries) for u in utts)
+
+
+@pytest.mark.parametrize("budget", [1, 30, model_module._SCAN_FRAMES])
+def test_validate_model_equals_one_build_context_and_dp_per_utterance(monkeypatch, budget):
+    """Batched validation decodes every utterance to the segmentation that
+    build_context + dp_segment give it alone, and reports the same metrics."""
+    monkeypatch.setattr(model_module, "_SCAN_FRAMES", budget)
+    decoded = []
+
+    def recording(ctx, model, max_seg_frames):
+        out = dp_segment(ctx, model, max_seg_frames=max_seg_frames)
+        decoded.append(out)
+        return out
+
+    monkeypatch.setattr(train_module, "dp_segment", recording)
+    utts = tiny_corpus(9, seed=16)
+    model = make_model(seed=17)
+    report = validate_model(model, utts, 0.020)
+    want = [dp_segment(build_context(model, u.features), model, max_seg_frames=None)
+            for u in utts]
+    assert decoded == want
+    preds = {u.key: (seg, u.features.frame_shift) for u, (seg, _) in zip(utts, want)}
+    refs = {u.key: (u.gold, u.features.frame_shift) for u in utts}
+    assert report == evaluate_corpus(preds, refs, TolerancePolicy(0.020))
 
 
 def _buffer_offset(view, buf):
