@@ -3,8 +3,10 @@ seeded synthetic corpus generator for desk-scale end-to-end runs."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +26,14 @@ SPLIT_TAGS = ("train", "val", "test")
 ANNOTATION_UNITS = ("samples", "seconds")
 
 
+class _SegmentError(ValueError):
+    """A broken annotation invariant at segment `index` (None: at no one segment)."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class Annotation:
     """Contiguous labeled segments of one utterance, in samples."""
@@ -32,17 +42,17 @@ class Annotation:
 
     def __post_init__(self):
         if not self.segments:
-            raise ValueError("annotation must contain at least one segment")
+            raise _SegmentError("annotation must contain at least one segment")
         prev_end = None
         prev_start = -1
-        for start, end, _ in self.segments:
+        for i, (start, end, _) in enumerate(self.segments):
             if end <= start:
-                raise ValueError(f"segment ({start}, {end}) is empty or reversed")
+                raise _SegmentError(f"segment ({start}, {end}) is empty or reversed", i)
             if start <= prev_start:
-                raise ValueError("segment starts must be strictly increasing")
+                raise _SegmentError("segment starts must be strictly increasing", i)
             if prev_end is not None and start != prev_end:
-                raise ValueError(f"segments are not contiguous at sample {start} "
-                                 f"(previous ended at {prev_end})")
+                raise _SegmentError(f"segments are not contiguous at sample {start} "
+                                    f"(previous ended at {prev_end})", i)
             prev_start, prev_end = start, end
 
     @property
@@ -50,44 +60,62 @@ class Annotation:
         return tuple(sym for _, _, sym in self.segments)
 
 
+def _read_annotation_lines(path, parse_line) -> Annotation:
+    """Annotation from the non-blank lines of an ASCII text file, each read by
+    parse_line(line) -> (start, end, symbol). Every error names the file, and
+    the line where one line is to blame."""
+    segments, linenos = [], []
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    segments.append(parse_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return Annotation(segments)
+    except _SegmentError as exc:
+        where = path if exc.index is None else f"{path}:{linenos[exc.index]}"
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_phn(path) -> Annotation:
     """TIMIT-style annotation: one 'start_sample end_sample symbol' per line."""
-    segments = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'start end symbol'")
-            try:
-                start, end = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: segment times must be "
-                                 f"whole sample numbers") from None
-            segments.append((start, end, tokens[2]))
-    return Annotation(segments)
+    def parse_line(line):
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ValueError("expected 'start end symbol'")
+        try:
+            start, end = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ValueError("segment times must be whole sample numbers") from None
+        if max(abs(start), abs(end)) > sys.float_info.max:  # no float time in seconds
+            raise ValueError("segment times must be finite")
+        return start, end, tokens[2]
+
+    return _read_annotation_lines(path, parse_line)
 
 
 def read_ann_csv(path, sample_rate: int) -> Annotation:
     """Seconds-based CSV variant: 'start_s,end_s,symbol' per line."""
-    segments = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'start_s,end_s,symbol'")
-            try:
-                start, end = (float(x) * sample_rate for x in parts[:2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: segment times must be numbers") from None
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ValueError(f"{path}:{lineno}: segment times must be finite")
-            segments.append((int(round(start)), int(round(end)), parts[2].strip()))
-    return Annotation(segments)
+    def parse_line(line):
+        parts = line.strip().split(",")
+        if len(parts) != 3:
+            raise ValueError("expected 'start_s,end_s,symbol'")
+        try:
+            start, end = (float(x) * sample_rate for x in parts[:2])
+        except ValueError:
+            raise ValueError("segment times must be numbers") from None
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError("segment times must be finite")
+        return int(round(start)), int(round(end)), parts[2].strip()
+
+    return _read_annotation_lines(path, parse_line)
 
 
 def write_phn(path, ann: Annotation):
@@ -134,14 +162,22 @@ def read_manifest(path, sample_rate: int,
     """CSV manifest: wav_path,ann_path,split (paths relative to the manifest)."""
     base = Path(path).parent
     entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for row in csv.reader(f):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"manifest row must be wav,ann,split: {row}")
-            wav, ann, split = (c.strip() for c in row)
-            entries.append(ManifestEntry(base / wav, base / ann, split))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: manifest row must be wav,ann,split: {row}")
+                wav, ann, split = (c.strip() for c in row)
+                try:
+                    entries.append(ManifestEntry(base / wav, base / ann, split))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not entries:
         raise ValueError(f"manifest is empty: {path}")
     return CorpusManifest(entries, sample_rate, annotation_unit)
@@ -240,59 +276,43 @@ def split_nonspeech(utt: LabeledUtterance, nonspeech=NONSPEECH_SYMBOLS,
     min_run = max(1, int(round(min_run_ms / 1000.0 / shift)))
     keep = int(round(max_lead_ms / 1000.0 / shift))
     nonspeech = set(nonspeech)
-
     spans = utt.gold.spans()
-    mask = np.zeros(t_total, dtype=bool)
-    for (s, e), sym in zip(spans, utt.phonemes):
-        if sym in nonspeech:
-            mask[s:e] = True
 
-    # maximal non-speech frame runs
+    # maximal non-speech runs: consecutive non-speech segments merge
     runs = []
-    t = 0
-    while t < t_total:
-        if mask[t]:
-            start = t
-            while t < t_total and mask[t]:
-                t += 1
-            runs.append((start, t))
+    for (s, e), sym in zip(spans, utt.phonemes):
+        if sym not in nonspeech:
+            continue
+        if runs and runs[-1][1] == s:
+            runs[-1] = (runs[-1][0], e)
         else:
-            t += 1
+            runs.append((s, e))
 
-    # cuts: every edge run plus interior runs meeting the length threshold
-    cuts = [(a, b) for a, b in runs
-            if a == 0 or b == t_total or (b - a) >= min_run]
-
-    # each cut run donates a short stub to the piece on either side; stubs
-    # never overlap even for runs shorter than twice the cap
-    tail_of = {}  # run start -> frames kept by the piece ending there
-    lead_of = {}  # run end -> frames kept by the piece starting there
-    for a, b in cuts:
-        run = b - a
-        tail = min(keep, run) if a > 0 else 0
-        lead = min(keep, run - tail) if b < t_total else 0
-        tail_of[a] = tail
-        lead_of[b] = lead
-
+    # every edge run and every interior run of at least min_run frames is a
+    # cut; the piece before it keeps a tail of it, the piece after a lead,
+    # and the two never overlap even for runs shorter than twice the cap
     pieces = []
-    pos = 0
-    for a, b in cuts + [(t_total, t_total)]:
+    pos = lead = 0  # where the next piece's speech starts, and its lead
+    for a, b in runs:
+        if a > 0 and b < t_total and b - a < min_run:
+            continue
+        tail = min(keep, b - a) if a > 0 else 0
         if pos < a:
-            start = pos - lead_of.get(pos, 0)
-            end = a + tail_of.get(a, 0)
-            pieces.append((start, end))
-        pos = b
+            pieces.append((pos - lead, a + tail))
+        pos, lead = b, (min(keep, b - a - tail) if b < t_total else 0)
+    if pos < t_total:
+        pieces.append((pos - lead, t_total))
 
+    starts, ends = zip(*spans)
     out = []
-    for n, (a, b) in enumerate(pieces):
-        clipped = [(max(s, a), min(e, b), sym)
-                   for (s, e), sym in zip(spans, utt.phonemes)
-                   if max(s, a) < min(e, b)]
-        bounds = tuple(s - a for s, _, _ in clipped[1:])
+    for n, (a, b) in enumerate(pieces):  # each reads only the segments it overlaps
+        first = bisect.bisect_right(ends, a)  # the first segment ending after a
+        last = bisect.bisect_left(starts, b, first)  # the first starting at or after b
+        bounds = tuple(s - a for s in starts[first + 1:last])
         feats = FrameMatrix(utt.features.data[a:b].copy(), shift)
         key = utt.key if len(pieces) == 1 else f"{utt.key}#{n}"
         out.append(LabeledUtterance(key, feats, Segmentation(bounds, b - a),
-                                    tuple(sym for _, _, sym in clipped)))
+                                    utt.phonemes[first:last]))
     return out
 
 
@@ -392,22 +412,29 @@ def write_boundaries_csv(path, times):
 
 
 def read_boundaries_csv(path):
+    """Boundary times (seconds) after a 'time_s' header line: finite and
+    ascending, equal times allowed."""
     times = []
-    with open(path, "r", encoding="ascii") as f:
-        header = f.readline().strip()
-        if header != "time_s":
-            raise ValueError(f"expected 'time_s' header in {path}")
-        for lineno, line in enumerate(f, 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t = float(line)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: boundary times must be numbers") from None
-            if not math.isfinite(t):
-                raise ValueError(f"{path}:{lineno}: boundary times must be finite")
-            times.append(t)
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            header = f.readline().strip()
+            if header != "time_s":
+                raise ValueError(f"expected 'time_s' header in {path}")
+            for lineno, line in enumerate(f, 2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    t = float(line)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: boundary times must be numbers") from None
+                if not math.isfinite(t):
+                    raise ValueError(f"{path}:{lineno}: boundary times must be finite")
+                if times and t < times[-1]:
+                    raise ValueError(f"{path}:{lineno}: boundary times must be ascending")
+                times.append(t)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return times
 
 

@@ -166,7 +166,13 @@ class SegmentalModel:
             if len(raw) != 4:
                 raise ValueError(f"truncated model file: {path}")
             (hlen,) = struct.unpack("<I", raw)
-            header = json.loads(f.read(hlen).decode("utf-8"))
+            raw = f.read(hlen)
+            if len(raw) != hlen:
+                raise ValueError(f"truncated model file: {path}")
+            try:
+                header = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+                raise ValueError(f"model file header is not UTF-8 JSON ({exc}): {path}") from None
             if not isinstance(header, dict) or header.get("format_version") != MODEL_VERSION:
                 raise ValueError(f"unsupported model format version in {path}")
             for key in ("model", "features", "params"):

@@ -1,11 +1,16 @@
 import configparser
+import contextlib
 import dataclasses
 import inspect
+import io
+import struct
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfeat import cli as cli_module
 from segfeat import model as model_module
@@ -18,7 +23,7 @@ from segfeat.data import (CorpusManifest, SynthConfig, read_boundaries_csv, read
                           write_manifest)
 from segfeat.features import FeatureConfig, read_features_bin, read_stats
 from segfeat.metrics import TolerancePolicy, evaluate_corpus
-from segfeat.model import ModelConfig, SegmentalModel
+from segfeat.model import MODEL_MAGIC, ModelConfig, SegmentalModel
 from segfeat.train import TrainConfig, read_epoch_logs
 
 from conftest import edit_model_header, write_cut_wav
@@ -582,6 +587,28 @@ def test_segment_rejects_sub_sample_shift_or_window_in_model_header(
     assert "one sample" in capsys.readouterr().err
 
 
+def _header_file(header, stated=None):
+    """Model file bytes: the magic, a header length (len(header) unless
+    stated), then header and nothing more."""
+    return MODEL_MAGIC + struct.pack("<I", len(header) if stated is None else stated) + header
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_header_file(b"{'format_version': 1}"), "header is not UTF-8 JSON"),
+    (_header_file(b'{"format_version": "\xff"}'), "header is not UTF-8 JSON"),
+    (_header_file(b"[" * 100000), "header is not UTF-8 JSON"),
+    (_header_file(b"{}", stated=64), "truncated model file"),
+    (_header_file(b'{"format_version": 1, "model": {', stated=900), "truncated model file"),
+], ids=["single-quotes", "not-utf8", "deep-nesting", "short-object", "cut-in-header"])
+def test_segment_names_the_model_file_when_its_header_does_not_read(
+        tmp_path, corpus_dir, capsys, blob, message):
+    bad = tmp_path / "header.bin"
+    bad.write_bytes(blob)
+    assert _segment_with_model(tmp_path, corpus_dir, bad) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err
+
+
 def _write_non_finite_model(trained_dir, path, block, value):
     model = SegmentalModel.load(trained_dir / "model_best.bin")
     if block.startswith("featstats."):
@@ -735,6 +762,65 @@ def test_eval_rejects_bad_prediction_times(tmp_path, capsys, line, message):
     assert f"{pred}:3: {message}" in capsys.readouterr().err
 
 
+def _eval_files(tmp_path, ann=b"0 800 sil\n800 1600 aa\n", pred=b"time_s\n0.05\n",
+                manifest=b"u1.wav,u1.phn,test\n", ann_name="u1.phn"):
+    """`segfeat eval` on one utterance whose annotation, prediction and
+    manifest files hold these bytes (eval reads no WAV); returns the exit
+    code and the three paths."""
+    paths = (tmp_path / ann_name, tmp_path / "pred" / "u1.csv", tmp_path / "manifest.csv")
+    paths[1].parent.mkdir()
+    for path, blob in zip(paths, (ann, pred, manifest)):
+        path.write_bytes(blob)
+    rc = main(["eval", "--pred", str(paths[1].parent), "--manifest", str(paths[2])])
+    return (rc, *paths)
+
+
+@pytest.mark.parametrize("ann_name, ann, message", [
+    ("u1.phn", b"0 1232 sil\n\n1237 1600 aa\n",
+     ":3: segments are not contiguous at sample 1237 (previous ended at 1232)"),
+    ("u1.phn", b"", ": annotation must contain at least one segment"),
+    ("u1.phn", b"\n  \n", ": annotation must contain at least one segment"),
+    ("u1.phn", b"0 800 sil\n800 1600 \xc3\xa6\n", ": 'ascii' codec can't decode byte 0xc3"),
+    ("u1.phn", b"0 800 sil\n800 1" + b"0" * 400 + b" aa\n", ":2: segment times must be finite"),
+    ("u1.csv", b"0.0,0.05,sil\n0.05,0.04,aa\n", ":2: segment (800, 640) is empty or reversed"),
+    ("u1.csv", b"0.0,0.05,sil\n0.0,0.1,aa\n", ":2: segment starts must be strictly increasing"),
+], ids=["phn-shifted-start", "phn-empty", "phn-blank", "phn-stray-byte", "phn-huge-time",
+        "seconds-reversed", "seconds-repeated-start"])
+def test_eval_names_the_annotation_file_and_line(tmp_path, capsys, ann_name, ann, message):
+    rc, ann_path, _, _ = _eval_files(tmp_path, ann=ann, ann_name=ann_name,
+                                     manifest=f"u1.wav,{ann_name},test\n".encode())
+    assert rc == EXIT_DATA
+    assert f"data error: {ann_path}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest, message", [
+    (b"u1.wav,u1.phn\n", ":1: manifest row must be wav,ann,split: ['u1.wav', 'u1.phn']"),
+    (b"# wav,ann,split\n\nu1.wav,u1.phn,dev\n",
+     ":3: split tag must be one of ('train', 'val', 'test'), got 'dev'"),
+    (b"u1.wav,u1.phn,test\n\xe9,u1.phn,test\n", ": 'utf-8' codec can't decode byte 0xe9"),
+], ids=["two-cells", "bad-split-tag", "not-utf8"])
+def test_eval_names_the_manifest_file_and_line(tmp_path, capsys, manifest, message):
+    rc, _, _, manifest_path = _eval_files(tmp_path, manifest=manifest)
+    assert rc == EXIT_DATA
+    assert f"data error: {manifest_path}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pred, message", [
+    (b"time_s\n0.05\n0.02\n", ":3: boundary times must be ascending"),
+    (b"time_s\n0.05\n\xc2\xa00.06\n", ": 'ascii' codec can't decode byte 0xc2"),
+], ids=["descending", "stray-byte"])
+def test_eval_names_the_prediction_file_and_line(tmp_path, capsys, pred, message):
+    rc, _, pred_path, _ = _eval_files(tmp_path, pred=pred)
+    assert rc == EXIT_DATA
+    assert f"data error: {pred_path}{message}" in capsys.readouterr().err
+
+
+def test_eval_accepts_equal_prediction_times(tmp_path, capsys):
+    rc, *_ = _eval_files(tmp_path, pred=b"time_s\n0.05\n0.05\n")
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",1,2,1")
+
+
 def test_eval_missing_prediction(tmp_path, corpus_dir):
     pred = tmp_path / "predmiss"
     pred.mkdir()
@@ -776,3 +862,55 @@ def test_eval_report_file(tmp_path, corpus_dir):
     lines = report_path.read_text().splitlines()
     assert lines[0] == "precision,recall,f1,os,r_value,hits,n_pred,n_ref"
     assert lines[1].startswith("100.0000,100.0000")
+
+
+# ----- fuzzed text readers ---------------------------------------------------
+
+FUZZ_CELLS = (b"", b"0", b"7", b"800", b"1600", b"2400", b"0.05", b"-2", b"1e3",
+              b"1" + b"0" * 400, b"nan", b"inf", b"#", b"sil", b"\xff")
+
+
+@st.composite
+def fuzz_lines(draw):
+    """Up to 8 lines of up to 3 cells from FUZZ_CELLS, one separator per file."""
+    sep = draw(st.sampled_from([b" ", b",", b"\t"]))
+    cells = st.lists(st.sampled_from(FUZZ_CELLS), max_size=3).map(sep.join)
+    return b"\n".join(draw(st.lists(cells, max_size=8)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A two-utterance synth corpus with perfect predictions in pred/."""
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--out", str(out), "--train", "0", "--val", "0", "--test", "2",
+                 "--seed", "5"]) == EXIT_OK
+    (out / "pred").mkdir()
+    from segfeat.data import read_phn
+    for entry in read_manifest(out / "manifest.csv", 16000).entries:
+        write_boundaries_csv(out / "pred" / f"{entry.key}.csv",
+                             [s / 16000 for s, _, _ in read_phn(entry.ann_path).segments[1:]])
+    return out
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(target=st.sampled_from(["utt0000.phn", "pred/utt0001.csv", "manifest.csv"]),
+       kept=st.integers(0, 2), text=fuzz_lines())
+def test_eval_exits_0_or_3_naming_the_fuzzed_file(fuzz_corpus, target, kept, text):
+    """Random lines in one annotation, prediction or manifest file end in
+    exit 0 or in a data error (3) that names that file, never in exit 4.
+    The fuzzed lines follow the file's first `kept` lines, so they also meet
+    a valid header, row or segment."""
+    path = fuzz_corpus / target
+    original = path.read_bytes()
+    head = b"".join(original.splitlines(keepends=True)[:kept])
+    path.write_bytes(head + text)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["eval", "--pred", str(fuzz_corpus / "pred"),
+                       "--manifest", str(fuzz_corpus / "manifest.csv")])
+    finally:
+        path.write_bytes(original)
+    assert rc in (EXIT_OK, EXIT_DATA), err.getvalue()
+    if rc == EXIT_DATA:
+        assert str(path) in err.getvalue()

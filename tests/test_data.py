@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segfeat.audio import write_wav
 from segfeat.data import (Annotation, LabeledUtterance, ManifestEntry,
@@ -10,6 +12,8 @@ from segfeat.data import (Annotation, LabeledUtterance, ManifestEntry,
                           write_synth_corpus, write_textgrid)
 from segfeat.features import FeatureConfig, FrameMatrix
 from segfeat.model import Segmentation
+
+from reference_split import reference_split_nonspeech
 
 
 def test_annotation_invariants():
@@ -188,6 +192,52 @@ def test_split_nonspeech_no_interior_run_exceeds_threshold():
                     assert e - s < 10
                 if sym == "sil" and is_edge:
                     assert e - s <= 2
+
+
+SPLIT_SYMBOLS = ("a", "b", "sil", "noise", "iva")
+
+
+def _split_case(lengths, symbols, shift):
+    """An utterance of consecutive segments with these frame lengths and
+    labels, and distinct feature bytes in every frame."""
+    frames = sum(lengths)
+    bounds = tuple(np.cumsum(lengths)[:-1].tolist())
+    data = np.random.default_rng(frames).normal(size=(frames, 2))
+    return LabeledUtterance("u", FrameMatrix(data, shift), Segmentation(bounds, frames),
+                            symbols)
+
+
+@st.composite
+def split_cases(draw):
+    n_seg = draw(st.integers(1, 11))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=n_seg, max_size=n_seg))
+    symbols = tuple(draw(st.lists(st.sampled_from(SPLIT_SYMBOLS),
+                                  min_size=n_seg, max_size=n_seg)))
+    return lengths, symbols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=split_cases(), shift=st.sampled_from([0.01, 220 / 22050]),
+       min_run_ms=st.sampled_from([0.0, 10.0, 50.0, 100.0, 300.0]) | st.floats(0.0, 400.0),
+       max_lead_ms=st.sampled_from([0.0, 10.0, 20.0, 50.0, 200.0]) | st.floats(0.0, 250.0))
+@example(case=([5, 30, 10, 4], ("sil", "a", "noise", "iva")), shift=0.01,
+         min_run_ms=100.0, max_lead_ms=20.0)  # runs at both edges, mixed symbols
+@example(case=([3, 12, 9, 7], ("a", "sil", "noise", "b")), shift=220 / 22050,
+         min_run_ms=100.0, max_lead_ms=50.0)  # one interior run of two symbols
+@example(case=([8, 8], ("a", "b")), shift=0.01, min_run_ms=0.0, max_lead_ms=0.0)
+@example(case=([8, 8], ("sil", "iva")), shift=0.01, min_run_ms=0.0, max_lead_ms=0.0)
+@example(case=([4, 2, 6, 1, 5], ("a", "sil", "b", "noise", "a")), shift=0.01,
+         min_run_ms=0.0, max_lead_ms=200.0)  # every run cuts; leads use the whole run
+def test_split_nonspeech_equals_the_frame_mask_reference(case, shift, min_run_ms, max_lead_ms):
+    lengths, symbols = case
+    utt = _split_case(lengths, symbols, shift)
+    kwargs = dict(min_run_ms=min_run_ms, max_lead_ms=max_lead_ms)
+    got = split_nonspeech(utt, **kwargs)
+    want = reference_split_nonspeech(utt, **kwargs)
+    assert [(p.key, p.gold, p.phonemes, p.features.frame_shift, p.features.data.tobytes())
+            for p in got] == \
+        [(p.key, p.gold, p.phonemes, p.features.frame_shift, p.features.data.tobytes())
+         for p in want]
 
 
 def test_synth_corpus_deterministic():
