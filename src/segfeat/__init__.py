@@ -6,7 +6,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .data import (Annotation, CorpusManifest, LabeledUtterance, ManifestEntry, SynthConfig,
                    load_corpus, read_manifest, split_nonspeech, split_train_val,
                    synth_corpus, write_synth_corpus)
-from .decode import brute_force_segment, dp_segment, dp_segment_k, dp_two_best
+from .decode import dp_segment, dp_segment_k, dp_two_best
 from .features import (FeatureConfig, FeatureStats, FrameMatrix, append_deltas,
                        assemble_features, compute_mfcc, corpus_stats,
                        spectral_change_features)

@@ -16,7 +16,7 @@ from .data import (SynthConfig, load_corpus, read_annotation, read_boundaries_cs
                    read_manifest, split_nonspeech, split_train_val, synth_corpus,
                    write_boundaries_csv, write_synth_corpus, write_textgrid,
                    zscore_utterances)
-from .decode import dp_segment, dp_segment_k
+from .decode import dp_segment, dp_segment_k, dp_segment_many
 from .features import (assemble_features, corpus_stats, write_features_bin, write_features_csv,
                        write_stats)
 from .metrics import TolerancePolicy, evaluate_times
@@ -164,12 +164,8 @@ def _load_recording(model, wav_path):
     return wav_path, wav, assemble_features(wav, model.feature_cfg, model.stats)
 
 
-def _segment_one(model, ctx, recording, out_dir, k, textgrid):
+def _write_segmentation(seg, recording, out_dir, textgrid):
     wav_path, wav, feats = recording
-    if k is None:
-        seg, _ = dp_segment(ctx, model, max_seg_frames=None)
-    else:
-        seg, _ = dp_segment_k(ctx, model, k)
     times = seg.times(feats.frame_shift)
     key = Path(wav_path).stem
     out = Path(out_dir) / f"{key}.csv"
@@ -190,16 +186,25 @@ def cmd_segment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.wav is not None:
         recording = _load_recording(model, Path(args.wav))
-        decoded = [(recording, build_context(model, recording[2]))]
+        ctx = build_context(model, recording[2])
+        if args.k is None:
+            segmented = [(recording, dp_segment(ctx, model, max_seg_frames=None))]
+        else:
+            segmented = [(recording, dp_segment_k(ctx, model, args.k))]
     else:
         manifest = read_manifest(args.manifest, model.cfg.sample_rate,
                                  cfg["data"]["annotation_unit"])
         recordings = (_load_recording(model, e.wav_path) for e in manifest.entries)
-        # batched encoder scans; each context equals build_context's
-        decoded = build_contexts(model, ((rec, rec[2]) for rec in recordings))
+        items = ((rec, rec[2]) for rec in recordings)
+        # batched encoder scans (and DP sweeps); each output equals one --wav call's
+        if args.k is None:
+            segmented = dp_segment_many(model, items, dp_segment)
+        else:
+            segmented = ((rec, dp_segment_k(ctx, model, args.k))
+                         for rec, ctx in build_contexts(model, items))
     count = 0
-    for recording, ctx in decoded:
-        _segment_one(model, ctx, recording, out_dir, args.k, args.textgrid)
+    for recording, (seg, _) in segmented:
+        _write_segmentation(seg, recording, out_dir, args.textgrid)
         count += 1
     print(f"wrote boundaries for {count} utterance(s) to {out_dir}")
     return EXIT_OK

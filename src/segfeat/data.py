@@ -46,6 +46,8 @@ class Annotation:
         prev_end = None
         prev_start = -1
         for i, (start, end, _) in enumerate(self.segments):
+            if start < 0:
+                raise _SegmentError(f"segment start {start} is negative", i)
             if end <= start:
                 raise _SegmentError(f"segment ({start}, {end}) is empty or reversed", i)
             if start <= prev_start:
@@ -58,6 +60,22 @@ class Annotation:
     @property
     def symbols(self):
         return tuple(sym for _, _, sym in self.segments)
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> ValueError:
+    """The data error for a text file with a byte its codec rejects. The
+    codec's position counts from the chunk it was decoding, so the first bad
+    byte is found again in the whole file, and named by line and offset."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        head = data[:whole.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ValueError(f"{path}: '{whole.encoding}' codec can't decode byte "
+                          f"{data[whole.start]:#04x} on line {line} (byte {whole.start} "
+                          f"of the file): {whole.reason}")
+    return ValueError(f"{path}: {exc.reason}")  # the file changed since it was read
 
 
 def _read_annotation_lines(path, parse_line) -> Annotation:
@@ -76,7 +94,7 @@ def _read_annotation_lines(path, parse_line) -> Annotation:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 linenos.append(lineno)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _undecodable(path, exc) from None
     try:
         return Annotation(segments)
     except _SegmentError as exc:
@@ -177,7 +195,7 @@ def read_manifest(path, sample_rate: int,
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _undecodable(path, exc) from None
     if not entries:
         raise ValueError(f"manifest is empty: {path}")
     return CorpusManifest(entries, sample_rate, annotation_unit)
@@ -434,7 +452,7 @@ def read_boundaries_csv(path):
                     raise ValueError(f"{path}:{lineno}: boundary times must be ascending")
                 times.append(t)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _undecodable(path, exc) from None
     return times
 
 

@@ -25,14 +25,14 @@ could tie the winner is still ranked, in the same order.
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_right
 
 import numpy as np
 
-from .model import ScoreContext, SegmentalModel, Segmentation, bigram_scores_np, score_segmentation
+from .model import (ScoreContext, SegmentalModel, Segmentation, bigram_scores_np,
+                    encode_windows, score_segmentation)
 
 NEG_INF = float("-inf")
-BRUTE_FORCE_MAX_FRAMES = 16
 
 
 def _span_column(ctx: ScoreContext, model: SegmentalModel, starts: np.ndarray,
@@ -183,6 +183,150 @@ def dp_segment(ctx: ScoreContext, model: SegmentalModel,
     return _top_segmentations(ctx, model, max_seg_frames, 1)[0]
 
 
+def _lockstep_pays(size: int, longest: int, hidden: int) -> bool:
+    """Whether one lockstep sweep decodes a scan group of `size` contexts,
+    the longest `longest` frames, faster than one dp_segment each. Set from
+    a measured grid of size, length and H (CHANGES.md): lockstep lost in
+    every group of 2, in some groups of 4, and at T=256, H=64 in a group
+    of 8, where the column arithmetic outweighs the per-column overhead
+    that it saves."""
+    return size >= 8 and longest * hidden <= 8192
+
+
+def _lockstep_segment(ctxs, model: SegmentalModel):
+    """dp_segment(ctx, model) of every context, by one column sweep over all.
+
+    The contexts are swept in ascending length, so column t serves the
+    contexts [first:] that still have it. Row b of live and prefix holds
+    context b's candidate starts (as rows of the stacked q) and their prefix
+    scores in its first n[b] lanes, as its own uncapped sweep holds them,
+    and each context keeps its own drop rule (_prune_bound; lo stays 0
+    uncapped). The element-wise span work runs once per column over all
+    contexts. The x @ w2 product, whose bytes depend on its row count, runs
+    once over a stack of equal live lists, and otherwise once per context
+    over its own live rows: so every span gets the bytes its own sweep
+    gives it. Lanes past n[b] hold earlier starts, never uninitialized
+    memory, and are masked to -inf before the per-context argmax (first
+    occurrence). Returns the (Segmentation, canonical score) pairs in input
+    order.
+    """
+    order = sorted(range(len(ctxs)), key=lambda b: ctxs[b].n_frames)
+    ctxs = [ctxs[b] for b in order]
+    lengths = [ctx.n_frames for ctx in ctxs]
+    n_ctx, lanes = len(ctxs), lengths[-1] + 1
+    q = np.zeros((n_ctx, lanes, model.cfg.hidden_size))
+    # u[b, T_b] = 0 is added in b's last column: that changes at most the sign
+    # of a zero span score, and no prefix score is -0.0, so no sum changes
+    u = np.zeros((n_ctx, lanes))
+    for b, ctx in enumerate(ctxs):
+        q[b, :ctx.n_frames + 1] = ctx.q_np
+        u[b, :ctx.n_frames] = ctx.unary_np
+    q = q.reshape(n_ctx * lanes, -1)
+    row0 = np.arange(n_ctx) * lanes  # the row of each context's Q[0] in q
+
+    live = np.repeat(row0[:, None], lanes, axis=1)
+    prefix = np.full((n_ctx, lanes), NEG_INF)
+    prefix[:, 0] = 0.0
+    back = np.zeros((n_ctx, lanes), dtype=np.intp)
+    n = np.ones(n_ctx, dtype=np.intp)
+    width, nu, _ = _prune_bound(ctxs[0], model)  # width and nu depend on the model alone
+    base = np.array([_prune_bound(ctx, model)[2] for ctx in ctxs])
+    top = np.full(n_ctx, NEG_INF)
+    floor = np.zeros(n_ctx)
+    _, b1, w2, b2 = model.head_bigram
+    first, ragged = 0, False
+    for t in range(1, lanes):
+        counts = n[first:]
+        m = int(counts.max()) if ragged else t
+        starts = live[first:, :m]
+        x = np.take(q, starts, axis=0)
+        np.subtract(q[row0[first:] + t][:, None], x, out=x)
+        if model.cfg.mean_bigram:
+            x *= (1.0 / ((row0[first:, None] + t) - starts))[:, :, None]
+        x += b1.value
+        np.tanh(x, out=x)
+        if ragged:
+            e = np.zeros(starts.shape)
+            for j, count in enumerate(counts.tolist()):
+                e[j, :count] = (x[j, :count] @ w2.value + b2.value)[:, 0]
+        else:
+            e = (x @ w2.value + b2.value)[:, :, 0]
+        done = bisect_right(lengths, t) - first  # contexts that end at column t
+        if not model.cfg.include_end_spans:
+            e[:done] = 0.0
+            e[starts[:, 0] == row0[first:], 0] = 0.0
+        e += u[first:, t, None]
+        e += prefix[first:, :m]  # prefix + e, as a context's own sweep adds them
+        if ragged:
+            e[np.arange(m) >= counts[:, None]] = NEG_INF
+        pick = e.argmax(axis=1)  # first occurrence
+        k = np.arange(len(pick))
+        back[first:, t] = starts[k, pick]
+        first += done
+        if first == n_ctx:
+            break
+
+        v = e[k[done:], pick[done:]]
+        if ragged:
+            rows, slot = np.arange(first, n_ctx), n[first:]
+        else:
+            rows, slot = slice(first, n_ctx), m
+        prefix[rows, slot] = v
+        live[rows, slot] = row0[first:] + t
+        n[first:] += 1
+        # the drop rule of _top_segmentations, whose comparisons ignore a NaN
+        np.fmin(floor[first:], v, out=floor[first:])
+        np.fmax(top[first:], v, out=top[first:])
+        threshold = top[first:] - width - nu * (base[first:] + np.abs(top[first:]))
+        for j in np.flatnonzero(threshold > floor[first:]).tolist():
+            b = first + j
+            keep = prefix[b, :n[b]] >= threshold[j]
+            n_keep = int(np.count_nonzero(keep))
+            live[b, :n_keep] = live[b, :n[b]][keep]
+            prefix[b, :n_keep] = prefix[b, :n[b]][keep]
+            n[b] = n_keep
+            floor[b] = prefix[b, :n_keep].min()
+            ragged = True
+
+    out = [None] * n_ctx
+    for b, ctx in enumerate(ctxs):
+        links = (back[b] - row0[b]).tolist()
+        starts, t = [], lengths[b]
+        while t > 0:
+            t = links[t]
+            starts.append(t)
+        seg = Segmentation(tuple(reversed(starts[:-1])), lengths[b])  # the last start is 0
+        out[order[b]] = (seg, score_segmentation(ctx, model, seg))
+    return out
+
+
+def dp_segment_many(model: SegmentalModel, items, dp_one):
+    """Yield (item, (Segmentation, score)) for each (item, features) pair, in
+    input order: the uncapped dp_segment of each utterance, byte for byte.
+
+    The utterances are encoded by `encode_windows`. A scan group for which
+    `_lockstep_pays` is decoded by one lockstep sweep, and every other
+    context by dp_one(ctx, model, max_seg_frames=None): the caller passes
+    its own `dp_segment`, so a wrapper around the caller's name (as the
+    benchmark tracer installs) still sees each single-context decode. A
+    lockstep column holds at most a group's padded frames, within the scan
+    budget, times H floats.
+    """
+    hidden = model.cfg.hidden_size
+    for pairs, groups in encode_windows(model, items):
+        results = [None] * len(pairs)
+        for group in groups:
+            ctxs = [pairs[i][1] for i in group]
+            if _lockstep_pays(len(ctxs), max(ctx.n_frames for ctx in ctxs), hidden):
+                decoded = _lockstep_segment(ctxs, model)
+            else:
+                decoded = [dp_one(ctx, model, max_seg_frames=None) for ctx in ctxs]
+            for i, result in zip(group, decoded):
+                results[i] = result
+        for (item, _), result in zip(pairs, results):
+            yield item, result
+
+
 def dp_segment_k(ctx: ScoreContext, model: SegmentalModel, k: int):
     """Best segmentation with exactly k segments (k-1 interior boundaries)."""
     t_total = ctx.n_frames
@@ -225,30 +369,3 @@ def dp_two_best(ctx: ScoreContext, model: SegmentalModel,
     argmax coincides with the gold segmentation.
     """
     return _top_segmentations(ctx, model, max_seg_frames, 2)
-
-
-def brute_force_segment(ctx: ScoreContext, model: SegmentalModel,
-                        k: int | None = None):
-    """Exhaustive oracle: score every boundary subset via score_segmentation.
-
-    Ties break as in the DP: toward the boundaries that, read from the last,
-    are smallest, a shorter list first where one is a tail of the other. Only
-    usable for short utterances (2^(T-1) candidates).
-    """
-    t_total = ctx.n_frames
-    if t_total > BRUTE_FORCE_MAX_FRAMES:
-        raise ValueError(f"brute force limited to T <= {BRUTE_FORCE_MAX_FRAMES}, got {t_total}")
-    if k is not None and not (1 <= k <= t_total):
-        raise ValueError(f"segment count {k} out of range [1, {t_total}]")
-    sizes = range(t_total) if k is None else [k - 1]
-    best_score = NEG_INF
-    best_bounds = None
-    for size in sizes:
-        for bounds in combinations(range(1, t_total), size):
-            seg = Segmentation(bounds, t_total)
-            score = score_segmentation(ctx, model, seg)
-            if score > best_score or (score == best_score and (
-                    best_bounds is None or bounds[::-1] < best_bounds[::-1])):
-                best_score = score
-                best_bounds = bounds
-    return Segmentation(best_bounds, t_total), float(best_score)

@@ -91,11 +91,14 @@ class SegmentalModel:
 
     def __init__(self, cfg: ModelConfig, feature_cfg: FeatureConfig,
                  stats: FeatureStats | None = None):
+        self._build(cfg, feature_cfg, stats, np.random.default_rng(cfg.seed))
+
+    def _build(self, cfg, feature_cfg, stats, rng):
+        """Lay out every parameter, drawing its initial value from rng."""
         self.cfg = cfg
         self.feature_cfg = feature_cfg
         self.stats = stats
         self.params = ParameterSet()
-        rng = np.random.default_rng(cfg.seed)
 
         self.layers = []
         in_dim = cfg.input_dim
@@ -196,13 +199,22 @@ class SegmentalModel:
         stats = None
         if "featstats.mean" in blocks:
             stats = FeatureStats(blocks.pop("featstats.mean"), blocks.pop("featstats.std"))
-        model = cls(cfg, feature_cfg, stats)
+        model = cls.__new__(cls)
+        model._build(cfg, feature_cfg, stats, _NoDraws())  # set_values overwrites every value
         if set(blocks) != set(model.params.names()):
             mismatched = sorted(set(blocks) ^ set(model.params.names()))
             raise ValueError(f"parameter blocks do not match the model header "
                              f"({', '.join(mismatched)}): {path}")
         model.params.set_values(blocks)
         return model
+
+
+class _NoDraws:
+    """Stands in for the generator where every drawn value is overwritten."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
 
 
 def _param_entries(header: dict, path):
@@ -325,33 +337,47 @@ def build_contexts(model: SegmentalModel, items):
     """Yield (item, context) for each (item, features) pair, in input order.
 
     Each context equals `build_context(model, features)`'s byte for byte,
-    but the encoder runs batched: consecutive utterances are taken in
-    windows of up to `_SCAN_FRAMES` frames (or one longer utterance), and
-    each window is encoded in `scan_groups`, one `bilstm_scan` per group and
-    layer. So a scan's caches stay within the budget, and only one window's
-    features and hidden states are held at a time. The contexts carry no
-    gradients back into the encoder.
+    but the encoder runs batched: see `encode_windows`.
+    """
+    for pairs, _ in encode_windows(model, items):
+        yield from pairs
+
+
+def encode_windows(model: SegmentalModel, items):
+    """Yield ([(item, context), ...], groups) per window of (item, features)
+    pairs, whose contexts are in input order and equal `build_context`'s.
+
+    Consecutive utterances are taken in windows of up to `_SCAN_FRAMES`
+    frames (or one longer utterance), and each window is encoded in the
+    `scan_groups` that come with it (indices into its pairs), one
+    `bilstm_scan` per group and layer. So a scan's caches stay within the
+    budget, and only one window's features and hidden states are held at a
+    time. The contexts carry no gradients back into the encoder.
     """
     window, frames = [], 0
     for item, features in items:
         data = _feature_array(model, features)
         if window and frames + data.shape[0] > _SCAN_FRAMES:
-            yield from _encode_window(model, window)
+            yield _encode_window(model, window)
             window, frames = [], 0
         window.append((item, data))
         frames += data.shape[0]
-    yield from _encode_window(model, window)
+    if window:
+        yield _encode_window(model, window)
 
 
 def _encode_window(model: SegmentalModel, window):
     hidden = [None] * len(window)
-    for group in scan_groups([data.shape[0] for _, data in window], _SCAN_FRAMES):
+    groups = scan_groups([data.shape[0] for _, data in window], _SCAN_FRAMES)
+    for group in groups:
         outs = bilstm_encode_many([window[i][1] for i in group], model.layers)
         for i, h in zip(group, outs):
             hidden[i] = h
+    pairs = []
     for (item, _), h in zip(window, hidden):
         tape = Tape()
-        yield item, context_from_hidden(tape, model, tape.tensor(h))
+        pairs.append((item, context_from_hidden(tape, model, tape.tensor(h))))
+    return pairs, groups
 
 
 def _bigram_hidden(ctx: ScoreContext, model: SegmentalModel, starts, ends) -> np.ndarray:

@@ -9,11 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape
-from .decode import dp_segment
+from .decode import dp_segment, dp_segment_many
 from .losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
 from .metrics import EvalReport, TolerancePolicy, evaluate_corpus
-from .model import (SegmentalModel, boundary_logits, build_context, build_contexts,
-                    phoneme_logits)
+from .model import SegmentalModel, boundary_logits, build_context, phoneme_logits
 from .optim import AdamState, adam_step, clip_grad_norm
 
 LOSS_NAMES = ("segfeat", "phn", "bin")
@@ -115,13 +114,14 @@ class FitResult:
 def validate_model(model: SegmentalModel, utterances, tolerance: float):
     """Uncapped decoding of every utterance, micro-aggregated metrics.
 
-    The utterances are encoded in batched scans (`build_contexts`), with
-    the outputs of one `build_context` per utterance.
+    The utterances are encoded in batched scans and decoded by
+    `dp_segment_many`, with the segmentations of one `build_context` and
+    `dp_segment` per utterance.
     """
     preds = {}
     refs = {}
-    for utt, ctx in build_contexts(model, ((u, u.features) for u in utterances)):
-        seg, _ = dp_segment(ctx, model, max_seg_frames=None)
+    for utt, (seg, _) in dp_segment_many(model, ((u, u.features) for u in utterances),
+                                         dp_segment):
         preds[utt.key] = (seg, utt.features.frame_shift)
         refs[utt.key] = (utt.gold, utt.features.frame_shift)
     return evaluate_corpus(preds, refs, TolerancePolicy(tolerance))

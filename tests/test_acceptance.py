@@ -13,7 +13,7 @@ from segfeat.autodiff import grad_check
 from segfeat.cli import EXIT_OK, main
 from segfeat.data import (SynthConfig, load_corpus, read_manifest, synth_corpus,
                           write_synth_corpus, zscore_utterances)
-from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k
+from segfeat.decode import dp_segment, dp_segment_k
 from segfeat.features import (FeatureConfig, append_deltas, compute_mfcc, corpus_stats,
                               filter_peak_freqs, mel_energies, spectral_change_features)
 from segfeat.losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
@@ -23,6 +23,7 @@ from segfeat.model import (ModelConfig, SegmentalModel, Segmentation, boundary_l
 from segfeat.train import TrainConfig, fit, validate_model
 
 from conftest import small_model
+from reference_dp import brute_force_segment
 
 
 def _verdict(name, ok, detail):

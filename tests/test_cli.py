@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfeat import cli as cli_module
+from segfeat import decode as decode_module
 from segfeat import model as model_module
 from segfeat import train as train_module
 from segfeat.audio import write_wav
@@ -474,6 +475,44 @@ def test_segment_manifest_writes_what_one_segment_wav_per_file_writes(
     assert batched == single
 
 
+def test_segment_manifest_decodes_its_large_scan_group_in_one_lockstep_sweep(
+        tmp_path, corpus_dir, trained_dir, monkeypatch):
+    """At a scan budget of 400 frames the 12 short recordings form one window
+    of two scan groups: the larger is decoded in one lockstep sweep, the
+    other by one `dp_segment` per recording. Every file written equals, byte
+    for byte, that of one `segment --wav` call."""
+    monkeypatch.setattr(model_module, "_SCAN_FRAMES", 400)
+    lockstep, single = [], []
+    lockstep_segment, dp_segment = decode_module._lockstep_segment, cli_module.dp_segment
+
+    def recording_lockstep(ctxs, model):
+        lockstep.append(len(ctxs))
+        return lockstep_segment(ctxs, model)
+
+    def recording_dp_segment(ctx, model, max_seg_frames=None):
+        single.append(ctx.n_frames)
+        return dp_segment(ctx, model, max_seg_frames)
+
+    monkeypatch.setattr(decode_module, "_lockstep_segment", recording_lockstep)
+    monkeypatch.setattr(cli_module, "dp_segment", recording_dp_segment)
+    flags = ["--model", str(trained_dir / "model_best.bin"), "--textgrid"]
+    rc = main(["segment", *flags, "--manifest", str(corpus_dir / "manifest.csv"),
+               "--out", str(tmp_path / "batched")])
+    assert rc == EXIT_OK
+    entries = read_manifest(corpus_dir / "manifest.csv", 16000).entries
+    assert len(lockstep) == 1 and lockstep[0] >= 8 and single
+    assert lockstep[0] + len(single) == len(entries)
+    for entry in entries:
+        rc = main(["segment", *flags, "--wav", str(entry.wav_path),
+                   "--out", str(tmp_path / "single")])
+        assert rc == EXIT_OK
+    assert len(lockstep) == 1  # segment --wav decodes its one context alone
+    batched, single = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                       for d in ("batched", "single"))
+    assert len(batched) == 2 * len(entries)
+    assert batched == single
+
+
 def test_segment_k_one_gives_no_boundaries(tmp_path, corpus_dir, trained_dir):
     out = tmp_path / "predk"
     manifest = read_manifest(corpus_dir / "manifest.csv", 16000)
@@ -813,6 +852,33 @@ def test_eval_names_the_prediction_file_and_line(tmp_path, capsys, pred, message
     rc, _, pred_path, _ = _eval_files(tmp_path, pred=pred)
     assert rc == EXIT_DATA
     assert f"data error: {pred_path}{message}" in capsys.readouterr().err
+
+
+def test_eval_names_a_negative_first_start_as_such(tmp_path, capsys):
+    rc, ann_path, _, _ = _eval_files(tmp_path, ann=b"-2 800 sil\n800 1600 aa\n")
+    assert rc == EXIT_DATA
+    assert f"data error: {ann_path}:1: segment start -2 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["annotation", "prediction", "manifest"])
+def test_eval_names_the_line_and_file_offset_of_a_stray_byte_past_8_kib(tmp_path, capsys,
+                                                                        target):
+    """The text reader decodes a file in chunks of 8 KiB, and the codec counts
+    its position from the chunk: the message names the line of the first
+    bad byte and its offset in the whole file."""
+    head = {"annotation": b"".join(b"%d %d aa\n" % (10 * i, 10 * i + 10) for i in range(3000)),
+            "prediction": b"time_s\n" + b"0.05\n" * 3000,
+            "manifest": b"u1.wav,u1.phn,test\n" + b"# a comment line\n" * 1000}[target]
+    blob = head + b"1 2 a\xffb\n"
+    files = {"annotation": "ann", "prediction": "pred", "manifest": "manifest"}
+    rc, *paths = _eval_files(tmp_path, **{files[target]: blob})
+    path = paths[["annotation", "prediction", "manifest"].index(target)]
+    assert rc == EXIT_DATA
+    codec = "utf-8" if target == "manifest" else "ascii"
+    line, offset = head.count(b"\n") + 1, len(head) + 5
+    assert offset > 8192
+    assert (f"data error: {path}: '{codec}' codec can't decode byte 0xff on line {line} "
+            f"(byte {offset} of the file)") in capsys.readouterr().err
 
 
 def test_eval_accepts_equal_prediction_times(tmp_path, capsys):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfeat import decode as decode_module
-from segfeat.decode import brute_force_segment, dp_segment, dp_segment_k, dp_two_best
+from segfeat.decode import dp_segment, dp_segment_k, dp_two_best
 from segfeat.model import (Segmentation, bigram_scores_np, context_from_hidden,
                            score_segmentation)
 
 from conftest import mlp2_np, prefix_sums, random_context, small_model, toy_context
-from reference_dp import reference_dp_segment, reference_dp_two_best
+from reference_dp import brute_force_segment, reference_dp_segment, reference_dp_two_best
 from reference_tape import ReferenceTape, composed_score
 
 
@@ -486,3 +486,56 @@ def test_capped_two_best_scores_every_span_under_the_cap():
                 got = decode(ctx, model, cap)
             assert rows == [min(t, cap) for t in range(1, 301)]
             assert got == reference(ctx, model, cap)
+
+
+# ----- one lockstep sweep over a group against one sweep per context --------
+
+def _climbing_context(model, t_total, rng, climb):
+    """Unary scores lifted as in the pruned-sweep property above."""
+    ctx = random_context(model, t_total, rng)
+    lo, hi = _span_range(model)
+    u = ctx.unary.value[:, 0]
+    u += climb * (hi - lo) - lo - u.min()
+    return ctx
+
+
+def _saturated_context(model, t_total, rng):
+    """Hidden states and unary scores of scale 1e3, as in the saturated property."""
+    ctx = random_context(model, t_total, rng, scale=1e3)
+    ctx.unary.value[:, 0] = rng.normal(size=t_total) * 1e3
+    return ctx
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, seed=st.integers(0, 2**32 - 1), long=st.integers(30, 90),
+       others=st.lists(st.integers(1, 90), max_size=7), data=st.data(),
+       kind=st.sampled_from(["climb", "zero_span", "equal_rows", "saturated"]))
+def test_property_lockstep_sweep_equals_one_dp_segment_per_context(flags, seed, long, others,
+                                                                   data, kind):
+    """One lockstep sweep over a group of 1-8 contexts of mixed lengths gives
+    every context the Segmentation and the canonical score bytes of its own
+    dp_segment. The group holds one context of 30 or more frames, whose own
+    sweep drops starts (counted from the rows it scores), so the group's
+    live lists differ in length and its span products run per context."""
+    model = small_model(seed=seed % 1000, **flags)
+    rng = np.random.default_rng(seed)
+    if kind == "climb":
+        model.head_bigram[3].value[:] = rng.uniform(-3.0, 3.0)
+        climb = rng.uniform(0.05, 1.0)
+    make = {"climb": lambda t: _climbing_context(model, t, rng, climb),
+            "zero_span": lambda t: _zero_span_context(model, t, rng),
+            "equal_rows": lambda t: _equal_rows_context(model, t, rng),
+            "saturated": lambda t: _saturated_context(model, t, rng)}[kind]
+    lengths = list(others)
+    at = data.draw(st.integers(0, len(others)))
+    lengths.insert(at, long)
+    ctxs = [make(t) for t in lengths]
+    want = []
+    for i, ctx in enumerate(ctxs):
+        with _scored_rows() as rows:
+            want.append(dp_segment(ctx, model))
+        if i == at:
+            assert sum(rows) < _full_column_rows(model, long), "pruning never fired"
+    got = decode_module._lockstep_segment(ctxs, model)
+    assert [(seg, score.hex()) for seg, score in got] == \
+        [(seg, score.hex()) for seg, score in want]

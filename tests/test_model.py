@@ -170,7 +170,7 @@ def test_unary_constant_shift_moves_score_by_k_times_c():
 
 
 def test_unary_shift_preserves_fixed_k_argmax():
-    from segfeat.decode import brute_force_segment
+    from reference_dp import brute_force_segment
     model = small_model()
     rng = np.random.default_rng(6)
     hidden = rng.normal(size=(6, 8)) * 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segfeat import decode as decode_module
 from segfeat import model as model_module
 from segfeat import train as train_module
 from segfeat.data import LabeledUtterance
@@ -182,23 +183,32 @@ def test_validate_model_scores_tiny_corpus():
 @pytest.mark.parametrize("budget", [1, 30, model_module._SCAN_FRAMES])
 def test_validate_model_equals_one_build_context_and_dp_per_utterance(monkeypatch, budget):
     """Batched validation decodes every utterance to the segmentation that
-    build_context + dp_segment give it alone, and reports the same metrics."""
+    build_context + dp_segment give it alone, and reports the same metrics.
+    At the full budget the 12 utterances form one scan group, which is
+    decoded in one lockstep sweep; smaller budgets decode one at a time."""
+    full = budget == model_module._SCAN_FRAMES
     monkeypatch.setattr(model_module, "_SCAN_FRAMES", budget)
-    decoded = []
+    validated, lockstep = [], []
 
-    def recording(ctx, model, max_seg_frames):
-        out = dp_segment(ctx, model, max_seg_frames=max_seg_frames)
-        decoded.append(out)
-        return out
+    def recording_evaluate_corpus(preds, refs, policy):
+        validated.append(preds)
+        return evaluate_corpus(preds, refs, policy)
 
-    monkeypatch.setattr(train_module, "dp_segment", recording)
-    utts = tiny_corpus(9, seed=16)
+    def recording_lockstep(ctxs, model):
+        lockstep.append(len(ctxs))
+        return lockstep_segment(ctxs, model)
+
+    lockstep_segment = decode_module._lockstep_segment
+    monkeypatch.setattr(train_module, "evaluate_corpus", recording_evaluate_corpus)
+    monkeypatch.setattr(decode_module, "_lockstep_segment", recording_lockstep)
+    utts = tiny_corpus(12, seed=16)
     model = make_model(seed=17)
     report = validate_model(model, utts, 0.020)
     want = [dp_segment(build_context(model, u.features), model, max_seg_frames=None)
             for u in utts]
-    assert decoded == want
     preds = {u.key: (seg, u.features.frame_shift) for u, (seg, _) in zip(utts, want)}
+    assert validated == [preds]
+    assert lockstep == ([12] if full else [])
     refs = {u.key: (u.gold, u.features.frame_shift) for u in utts}
     assert report == evaluate_corpus(preds, refs, TolerancePolicy(0.020))
 
