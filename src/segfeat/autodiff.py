@@ -173,8 +173,8 @@ class Tape:
         """
         xv = x.value
         if any(a is b for a in fw for b in bw):
-            # the backward sets each direction's wh grad on its own; a shared
-            # wh would keep only the backward direction's
+            # no model ties the two directions, so a tensor passed to both is
+            # a wiring mistake (the same triple twice), not a tied layer
             raise ValueError("bilstm directions must not share a tensor")
         (outv,), caches = bilstm_scan([xv], fw, bw)
         hs, cs, gates, tcs = (a[:, :, 0] for a in caches)  # the batch axis, B = 1
@@ -202,8 +202,6 @@ class Tape:
             gx = np.empty((2, 1, 4 * hdim))
             gx4 = gx.reshape(2, 1, 4, hdim)
             gpre = np.empty_like(gx)
-            gwh = np.stack([fw[1].grad, bw[1].grad])  # accumulated onto the existing grads
-            outer = np.empty_like(gwh)
             gc = np.zeros((2, 1, hdim))
             for k in range(tsteps - 1, -1, -1):
                 # the scan's last step feeds no later one
@@ -215,12 +213,10 @@ class Tape:
                 gpre *= m2[k]
                 gpre *= m3[k]
                 gxp[k] += gpre
-                # one outer product per step, in step order: a batched
-                # h_prev.T @ G would sum in another order
-                gwh += np.einsum("kxi,kxj->kij", hs[k], gpre, out=outer)
                 gc *= f[k]
-            fw[1].grad[...], bw[1].grad[...] = gwh
-            for (wx, _, b), gxpre in ((bw, gxp[::-1, 1, 0]), (fw, gxp[:, 0, 0])):
+            for d, (wx, whd, b), gxpre in ((1, bw, gxp[::-1, 1, 0]), (0, fw, gxp[:, 0, 0])):
+                # sum over steps of h_prev ⊗ gpre, as one product after the loop
+                _acc(whd, hs[:-1, d, 0].T @ gxp[:, d, 0])
                 gxpre = np.ascontiguousarray(gxpre)  # frame order, as a 2-D scan sums it
                 _acc(x, gxpre @ wx.value.T)
                 _acc(wx, xv.T @ gxpre)

@@ -132,7 +132,10 @@ def fit(train_set, val_set, model: SegmentalModel, cfg: TrainConfig) -> FitResul
 
     Per epoch: seeded shuffle, one weighted backward per utterance, optimizer
     step per batch. Identical seeds, config, and data reproduce the parameter
-    trajectory bit-exactly under the same BLAS thread count.
+    trajectory bit-exactly under the same BLAS thread count. A test checks
+    that one step on a 300-frame utterance gives the same gradient bytes
+    under 1 and 2 threads; longer utterances do not (at 1000 frames the
+    weight gradients that sum over frames round differently).
     """
     if not train_set:
         raise ValueError("training set is empty")

@@ -1,4 +1,4 @@
-"""Per-frame tape LSTM: the reference that `Tape.bilstm` must reproduce bit for bit.
+"""Per-frame tape LSTM: the reference that `Tape.bilstm` must reproduce.
 
 `PerFrameTape.lstm` records one direction frame by frame: a batched input
 projection, then per frame a row gather, the h @ wh product, their sum and
@@ -8,6 +8,12 @@ other and joins them with `hstack`. Every op keeps its own generic
 backward, so this is the independent oracle for the hand-written BPTT, as
 `brute_force_segment` is for the DP. `bilstm_encode(PerFrameTape(), ...)`
 runs the whole stacked encoder through it.
+
+`Tape.bilstm` reproduces its outputs and its input, `wx` and `b` gradients
+bit for bit. The `wh` gradients match only within rounding: here each step's
+h @ wh node adds its own outer product to `wh.grad`, while `Tape.bilstm`
+forms one h_prev.T @ G product per direction after its BPTT loop, which sums
+the same terms in another order.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ ops that the hinge used to be composed from (row gathers, `sub`, `mul`,
 rows), each with its own backward, and `composed_score` and
 `composed_hinge_loss` rebuild the scorer and the hinge from them. They are
 the independent oracle that the one-node hinge must reproduce byte for
-byte, as `PerFrameTape` is for `Tape.bilstm`. Their context must be built on
-a `ReferenceTape`.
+byte, as `PerFrameTape` is for `Tape.bilstm` (its `wh` gradients aside, which
+match within rounding). Their context must be built on a `ReferenceTape`.
 """
 
 from __future__ import annotations

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -252,3 +258,59 @@ def test_fit_leaves_every_parameter_a_view_of_the_buffers(monkeypatch):
         start += t.value.size
     assert start == params.values.size == params.grads.size
     assert not np.array_equal(params.values, init)
+
+
+# One train_timit-shaped hinge + PHN + BIN step (T=300, H=64), then a
+# 1000-frame encode and uncapped decode; prints the bytes' digests as JSON.
+_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from segfeat.autodiff import Tape
+from segfeat.decode import dp_segment
+from segfeat.features import FeatureConfig
+from segfeat.losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
+from segfeat.model import (ModelConfig, SegmentalModel, Segmentation, boundary_logits,
+                           build_context, phoneme_logits)
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+rng = np.random.default_rng(7)
+model = SegmentalModel(ModelConfig(hidden_size=64, seed=7, inventory=tuple("abcdefgh"),
+                                   with_bin=True), FeatureConfig())
+gold = Segmentation(tuple(range(10, 300, 10)), 300)
+tape = Tape()
+ctx = build_context(model, rng.normal(size=(300, 43)), tape)
+hinge = hinge_loss(ctx, model, gold, 50)
+labels = frame_labels_from(gold, rng.integers(0, 8, size=gold.n_segments))
+phn = phn_loss(tape, phoneme_logits(ctx, model), labels)
+tape.backward(tape.add(tape.add(hinge, phn), bin_loss(tape, boundary_logits(ctx, model), gold)))
+out = {"hinge": hinge.item()}
+out.update((f"{name}.grad", digest(t.grad)) for name, t in model.params.items())
+ctx = build_context(model, rng.normal(size=(1000, 43)))
+seg, score = dp_segment(ctx, model)
+out.update(hidden=digest(ctx.hidden_np), q=digest(ctx.q_np), boundaries=seg.boundaries,
+           score=float(score).hex())
+print(json.dumps(out))
+"""
+
+
+def test_training_step_and_decode_do_not_depend_on_the_blas_thread_count():
+    """Every gradient of one train_timit-shaped step, and the hidden states,
+    q, boundaries and score of a 1000-frame decode, have the same bytes under
+    1 and 2 BLAS threads. Longer training utterances are not covered: at
+    T=1000 the weight-gradient products that sum over frames (every wx and
+    wh, the heads' first layers) round differently with 2 threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    one, two = runs
+    assert one["hinge"] > 0.0  # active, so the hinge's gradient reaches the encoder
+    assert [key for key in one if one[key] != two[key]] == []
