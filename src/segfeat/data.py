@@ -6,6 +6,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -421,12 +422,22 @@ def write_synth_corpus(items, out_dir, splits) -> Path:
     return manifest_path
 
 
+def _rewrite_text(path, text: str):
+    """Make `text` (ASCII) the whole content of the file at path, creating it
+    if missing. The file is opened without O_TRUNC and cut to the new length
+    after the write: on ext4 with auto_da_alloc, cutting an allocated file to
+    zero (open(path, "w"), or a rename or unlink over it) can stall its
+    close by tens of milliseconds. As before, the write is not atomic: a
+    reader may see a mix of the old and the new bytes."""
+    data = text.encode("ascii")
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
 def write_boundaries_csv(path, times):
     """One 'time_s' header line, then one boundary time (seconds) per line."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("time_s\n")
-        for t in times:
-            f.write(f"{float(t)!r}\n")
+    _rewrite_text(path, "time_s\n" + "".join(f"{float(t)!r}\n" for t in times))
 
 
 def read_boundaries_csv(path):
@@ -482,8 +493,7 @@ def write_textgrid(path, times, total_duration: float):
             f"            xmax = {b!r}",
             '            text = ""',
         ]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    _rewrite_text(path, "\n".join(lines) + "\n")
 
 
 def split_train_val(items, val_fraction: float = VAL_FRACTION, seed: int = VAL_SEED):

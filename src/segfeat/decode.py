@@ -12,15 +12,19 @@ smaller segment start; so among tied segmentations the argmax is the one
 whose boundaries, read from the last, are smallest. dp_segment_k keeps its
 own sweep, whose rows are segment counts, with the smaller-start rule.
 
-The sweep ranks one ascending list of candidate starts per column, and a
-start leaves the list by one of two rules. A capped sweep (training's hinge)
-drops the oldest start once it lies a cap behind, so it scores every span
-under the cap. An uncapped sweep drops for good each start whose best prefix
-score trails the largest prefix score of the last kept rank (the best for
-dp_segment, the runner-up for dp_two_best) by more than the range of span
-scores plus a rounding slack (_prune_bound): such a start can place in no
-later column. A start at the threshold is kept (>=), so every candidate that
-could tie the winner is still ranked, in the same order.
+A span's score depends on (s, t) alone (model.bigram_out), whatever batch
+scores it. The sweep ranks one ascending list of candidate starts per
+column, and a start leaves the list by one of two rules. A capped sweep
+(training's hinge) drops the oldest start once it lies a cap behind, so it
+scores every span under the cap, in blocks of columns (_capped_columns).
+An uncapped sweep scores each column on demand and drops for good each
+start whose best prefix score trails the largest prefix score of the last
+kept rank (the best for dp_segment, the runner-up for dp_two_best) by more
+than the range of span scores plus a rounding slack (_prune_bound): such a
+start can place in no later column. A start at the threshold is kept (>=),
+so every candidate that could tie the winner is still ranked, in the same
+order, with the same bytes: the pruned sweep picks what the full-column
+sweep picks.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .model import (ScoreContext, SegmentalModel, Segmentation, bigram_scores_np,
-                    encode_windows, score_segmentation)
+from .model import (ScoreContext, SegmentalModel, Segmentation, bigram_out,
+                    bigram_scores_np, encode_windows, score_segmentation)
 
 NEG_INF = float("-inf")
 
@@ -40,7 +44,7 @@ def _span_column(ctx: ScoreContext, model: SegmentalModel, starts: np.ndarray,
     """Bigram scores of the spans (s, t) for the ascending starts, one DP column.
 
     Columns are scored on demand from Q[t] - Q[starts] and dropped after use,
-    so a sweep holds O(T*H) memory whatever the cap. Without end spans, a
+    so an uncapped sweep holds O(T*H) memory. Without end spans, a
     span that starts at 0 or ends at T scores 0, as in score_segmentation.
     """
     if not model.cfg.include_end_spans and t == ctx.n_frames:
@@ -49,6 +53,46 @@ def _span_column(ctx: ScoreContext, model: SegmentalModel, starts: np.ndarray,
     if not model.cfg.include_end_spans and starts[0] == 0:
         vals[0] = 0.0
     return vals
+
+
+# Span rows that one block of a capped sweep may score at once (or the cap,
+# if larger), which bounds its memory: an utterance of up to 63 frames is one
+# block. From a measured sweep of the limit (CHANGES.md): 256 and 512 rows
+# were slower, and more than 2048 gained nothing.
+_BLOCK_ROWS = 2048
+
+
+def _capped_columns(ctx: ScoreContext, model: SegmentalModel, max_len: int):
+    """Yield, for t = 1..T, span(s, t) + u[t] (u[T] is not added) over the
+    starts s in [max(0, t - max_len), t), ascending: one capped DP column.
+
+    The spans of consecutive columns are scored in blocks of at most
+    max(max_len, _BLOCK_ROWS) rows, one bigram_scores_np call each, and each
+    column is a slice of its block. A span's score depends on (s, t) alone,
+    so every column holds the bytes _span_column gives it.
+    """
+    t_total = ctx.n_frames
+    u = ctx.unary_np
+    counts = np.minimum(np.arange(1, t_total + 1), max_len)  # rows of column t at t - 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))  # column t's rows start at t - 1
+    bounds = offsets.tolist()
+    limit = max(max_len, _BLOCK_ROWS)
+    t0 = 1
+    while t0 <= t_total:
+        t1 = bisect_right(bounds, bounds[t0 - 1] + limit)
+        a, b = bounds[t0 - 1], bounds[t1 - 1]  # the block holds columns t0..t1-1
+        cols, n = np.arange(t0, t1), counts[t0 - 1:t1 - 1]
+        ends = np.repeat(cols, n)
+        # a column's rows hold its starts t - n, ..., t - 1 in order
+        starts = np.arange(a, b) - np.repeat(offsets[t0 - 1:t1 - 1] - cols + n, n)
+        vals = bigram_scores_np(ctx, model, starts, ends)
+        if not model.cfg.include_end_spans:  # as in score_segmentation
+            vals[(starts == 0) | (ends == t_total)] = 0.0
+        inner = b - a - (max_len if t1 > t_total else 0)  # rows that end before T
+        vals[:inner] += u[ends[:inner]]
+        for t in range(t0, t1):
+            yield vals[bounds[t - 1] - a:bounds[t] - a]
+        t0 = t1
 
 
 def _prune_bound(ctx: ScoreContext, model: SegmentalModel):
@@ -103,10 +147,11 @@ def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
     slack), s can never place again, and as top only rises it stays dropped,
     so the list is compacted without it. A start at the threshold stays
     (>=), so every candidate that could tie the winner or the runner-up is
-    still ranked, in the same order: the sweep picks what the full column
-    picks. Once a start has dropped, a kept row sits elsewhere in a smaller
-    batch, where the BLAS product may round its last bits differently (as in
-    a capped column): only candidates that close could rank differently.
+    still ranked, in the same order and with the same bytes (a span's score
+    depends on (s, t) alone): the sweep picks what the full column picks.
+    Capped columns come from _capped_columns, which scores the spans of
+    many columns in one call; uncapped ones are scored one at a time, on
+    the live starts alone.
     """
     t_total = ctx.n_frames
     max_len = t_total if max_seg_frames is None else max(1, min(int(max_seg_frames), t_total))
@@ -122,10 +167,15 @@ def _top_segmentations(ctx: ScoreContext, model: SegmentalModel,
         width, nu, base = _prune_bound(ctx, model)
         top = threshold = NEG_INF
         floor = 0.0  # smallest best prefix score over the live starts
+    else:
+        columns = _capped_columns(ctx, model, max_len)
     for t in range(1, t_total + 1):
-        e = _span_column(ctx, model, live[lo:n], t)
-        if t < t_total:
-            e = e + u[t]
+        if pruning:
+            e = _span_column(ctx, model, live[lo:n], t)
+            if t < t_total:
+                e = e + u[t]
+        else:
+            e = next(columns)  # the spans of live[lo:n], as the cap keeps them
         flat = (prefix[:, lo:n] + e).ravel()
         for r in range(ranks):
             i = int(flat.argmax())  # first occurrence
@@ -174,11 +224,11 @@ def dp_segment(ctx: ScoreContext, model: SegmentalModel,
     """Best segmentation with a free segment count; exact when uncapped.
 
     max_seg_frames caps segment length (smaller search, faster training).
-    A cap >= T sweeps unpruned, and equals the uncapped sweep by measurement,
-    not by proof: a pruned column may round a span's last bits differently
-    (see _top_segmentations). The reported value is the canonical score of
-    the returned segmentation, so it is bit-identical to score_segmentation
-    on the result.
+    A cap >= T sweeps unpruned, and equals the uncapped sweep by proof: the
+    pruned sweep ranks every candidate that could place, and a span scores
+    the same bytes in either (see _top_segmentations). The reported value
+    is the canonical score of the returned segmentation, so it is
+    bit-identical to score_segmentation on the result.
     """
     return _top_segmentations(ctx, model, max_seg_frames, 1)[0]
 
@@ -201,14 +251,13 @@ def _lockstep_segment(ctxs, model: SegmentalModel):
     context b's candidate starts (as rows of the stacked q) and their prefix
     scores in its first n[b] lanes, as its own uncapped sweep holds them,
     and each context keeps its own drop rule (_prune_bound; lo stays 0
-    uncapped). The element-wise span work runs once per column over all
-    contexts. The x @ w2 product, whose bytes depend on its row count, runs
-    once over a stack of equal live lists, and otherwise once per context
-    over its own live rows: so every span gets the bytes its own sweep
-    gives it. Lanes past n[b] hold earlier starts, never uninitialized
-    memory, and are masked to -inf before the per-context argmax (first
-    occurrence). Returns the (Segmentation, canonical score) pairs in input
-    order.
+    uncapped). The span work, the head's per-span product included, runs
+    once per column over all contexts' lanes, padded to the longest live
+    list; a span's score depends on (s, t) alone, so every real lane gets
+    the bytes its own sweep gives it. Lanes past n[b] hold earlier starts,
+    never uninitialized memory, and are masked to -inf before the
+    per-context argmax (first occurrence). Returns the (Segmentation,
+    canonical score) pairs in input order.
     """
     order = sorted(range(len(ctxs)), key=lambda b: ctxs[b].n_frames)
     ctxs = [ctxs[b] for b in order]
@@ -233,7 +282,7 @@ def _lockstep_segment(ctxs, model: SegmentalModel):
     base = np.array([_prune_bound(ctx, model)[2] for ctx in ctxs])
     top = np.full(n_ctx, NEG_INF)
     floor = np.zeros(n_ctx)
-    _, b1, w2, b2 = model.head_bigram
+    b1 = model.head_bigram[1]
     first, ragged = 0, False
     for t in range(1, lanes):
         counts = n[first:]
@@ -245,12 +294,7 @@ def _lockstep_segment(ctxs, model: SegmentalModel):
             x *= (1.0 / ((row0[first:, None] + t) - starts))[:, :, None]
         x += b1.value
         np.tanh(x, out=x)
-        if ragged:
-            e = np.zeros(starts.shape)
-            for j, count in enumerate(counts.tolist()):
-                e[j, :count] = (x[j, :count] @ w2.value + b2.value)[:, 0]
-        else:
-            e = (x @ w2.value + b2.value)[:, :, 0]
+        e = bigram_out(model, x)
         done = bisect_right(lengths, t) - first  # contexts that end at column t
         if not model.cfg.include_end_spans:
             e[:done] = 0.0

@@ -399,14 +399,27 @@ def _bigram_hidden(ctx: ScoreContext, model: SegmentalModel, starts, ends) -> np
     return x
 
 
+def bigram_out(model: SegmentalModel, x: np.ndarray) -> np.ndarray:
+    """The bigram head's linear output over tanh rows x (..., H), shape (...).
+
+    One 1 x H @ H x 1 product per row, stacked: a row's bytes depend on that
+    row alone, never on how many rows share the call (one x @ w2 product
+    would pick its BLAS kernel, and so round, by the row count).
+    """
+    _, _, w2, b2 = model.head_bigram
+    return (x[..., None, :] @ w2.value)[..., 0, 0] + b2.value[0, 0]
+
+
 def bigram_scores_np(ctx: ScoreContext, model: SegmentalModel,
                      starts, ends) -> np.ndarray:
     """Batched gradient-free bigram head evaluation over (start, end) pairs.
 
     `ends` may be a scalar, which broadcasts over `starts` (one DP column).
+    Each span's score bytes depend on (start, end) alone (see bigram_out),
+    so any subset or order of spans, in one call or many, gets the bytes
+    of the full batch.
     """
-    _, _, w2, b2 = model.head_bigram
-    return (_bigram_hidden(ctx, model, starts, ends) @ w2.value + b2.value)[:, 0]
+    return bigram_out(model, _bigram_hidden(ctx, model, starts, ends))
 
 
 def _score_terms(ctx: ScoreContext, model: SegmentalModel, seg: Segmentation):

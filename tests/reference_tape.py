@@ -3,9 +3,11 @@
 The model records the structured hinge as one node with a hand-written
 gradient (`model.score_segmentation_grad`). `ReferenceTape` keeps the generic
 ops that the hinge used to be composed from (row gathers, `sub`, `mul`,
-`sum`, `add_const`, `relu`, and `add_row`, the bias add broadcast over
-rows), each with its own backward, and `composed_score` and
-`composed_hinge_loss` rebuild the scorer and the hinge from them. They are
+`sum`, `add_const`, `relu`, `add_row`, the bias add broadcast over rows,
+and `row_affine`, the bigram head's output layer as one product per row,
+as `model.bigram_out` computes it), each with its own backward, and
+`composed_score` and `composed_hinge_loss` rebuild the scorer and the hinge
+from them. They are
 the independent oracle that the one-node hinge must reproduce byte for
 byte, as `PerFrameTape` is for `Tape.bilstm` (its `wh` gradients aside, which
 match within rounding). Their context must be built on a `ReferenceTape`.
@@ -34,6 +36,23 @@ class ReferenceTape(Tape):
             if g is None:
                 return
             _acc(a, g)
+            _acc(b, g.sum(axis=0, keepdims=True))
+
+        self._record(back)
+        return out
+
+    def row_affine(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """x @ w + b as one 1 x n @ n x m product per row of x, stacked, so a
+        row's bytes do not depend on the row count; the backward is affine's."""
+        xv, wv = x.value, w.value
+        out = self._make((xv[:, None, :] @ wv)[:, 0, :] + b.value)
+
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            _acc(x, g @ wv.T)
+            _acc(w, xv.T @ g)
             _acc(b, g.sum(axis=0, keepdims=True))
 
         self._record(back)
@@ -125,7 +144,7 @@ def _bigram_scores_tape(ctx, model, starts: np.ndarray, ends: np.ndarray) -> Ten
     if model.cfg.mean_bigram:
         inv = np.broadcast_to((1.0 / (ends - starts))[:, None], x.value.shape)
         x = tape.mul(x, tape.tensor(inv.copy()))
-    return tape.affine(tape.tanh(tape.add_row(x, b1)), w2, b2)
+    return tape.row_affine(tape.tanh(tape.add_row(x, b1)), w2, b2)
 
 
 def composed_score(ctx, model, seg) -> Tensor:

@@ -145,6 +145,8 @@ def _primitive_cases(rng):
          lambda t, p: t.softmax_nll(p["z"], np.array([0, 3, 1, 2, 2])))
     case("bce_logits", {"z": (6, 1)},
          lambda t, p: t.bce_logits(p["z"], np.array([[1.0], [0], [0], [1], [0], [1]])))
+    case("row_affine", {"x": (3, 4), "w": (4, 2), "b": (1, 2)},
+         lambda t, p: t.sum(t.tanh(t.row_affine(p["x"], p["w"], p["b"]))))
     return cases
 
 

@@ -300,6 +300,26 @@ def test_boundaries_csv_roundtrip(tmp_path):
     assert (path.read_text().splitlines()[0]) == "time_s"
 
 
+def test_rewriting_an_output_leaves_exactly_the_new_bytes(tmp_path):
+    """Outputs are rewritten in place and cut to length after the write, so a
+    shorter or longer rewrite of the same file holds exactly what a fresh
+    write holds."""
+    path, fresh = tmp_path / "b.csv", tmp_path / "fresh.csv"
+    for times in ([0.1 * i for i in range(1, 200)], [0.25], [], [0.5, 1.0, 1.5], [0.125]):
+        write_boundaries_csv(path, times)
+        write_boundaries_csv(fresh, times)
+        assert path.read_bytes() == fresh.read_bytes()
+        fresh.unlink()
+        assert read_boundaries_csv(path) == times
+    grid, fresh = tmp_path / "u.TextGrid", tmp_path / "fresh.TextGrid"
+    for times, total in (([0.1 * i for i in range(1, 50)], 5.0), ([0.5], 1.0),
+                         ([0.2, 0.4], 0.6)):
+        write_textgrid(grid, times, total)
+        write_textgrid(fresh, times, total)
+        assert grid.read_bytes() == fresh.read_bytes()
+        fresh.unlink()
+
+
 def test_textgrid_output(tmp_path):
     path = tmp_path / "u.TextGrid"
     write_textgrid(path, [0.5, 1.0], 2.0)

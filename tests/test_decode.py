@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from segfeat import decode as decode_module
 from segfeat.decode import dp_segment, dp_segment_k, dp_two_best
-from segfeat.model import (Segmentation, bigram_scores_np, context_from_hidden,
-                           score_segmentation)
+from segfeat.model import (Segmentation, _bigram_hidden, bigram_out, bigram_scores_np,
+                           context_from_hidden, score_segmentation)
 
 from conftest import mlp2_np, prefix_sums, random_context, small_model, toy_context
-from reference_dp import brute_force_segment, reference_dp_segment, reference_dp_two_best
+from reference_dp import (brute_force_segment, reference_dp_segment, reference_dp_two_best,
+                          reference_top_segmentations)
 from reference_tape import ReferenceTape, composed_score
 
 
@@ -303,6 +304,126 @@ def test_property_projected_scores_match_unfactored_reference(flags, t_total, se
     assert np.max(np.abs(bigram_scores_np(ctx, model, starts, ends) - want)) <= 1e-12
 
 
+# ----- span scores that depend on (s, t) alone -------------------------------
+# A DP column, a block of columns, a pruned live list and a padded lockstep
+# stack hand the bigram head different batches; each span must get the same
+# bytes in all of them.
+
+def _same_bytes(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, hidden=st.sampled_from([1, 3, 5, 16, 33, 64]),
+       t_total=st.integers(1, 90), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_property_span_scores_do_not_depend_on_the_batch(flags, hidden, t_total, seed, data):
+    """bigram_scores_np over any subset of a column's starts, in any order,
+    or over spans of several columns at once, gives the bytes of those rows
+    of the full column; so does one bigram_out over a padded (B, m, H) stack
+    of such batches, whatever its padding lanes hold."""
+    model = small_model(hidden=hidden, seed=seed % 1000, **flags)
+    rng = np.random.default_rng(seed)
+    ctx = random_context(model, t_total, rng)
+    full = {t: bigram_scores_np(ctx, model, np.arange(t), t) for t in range(1, t_total + 1)}
+
+    t = data.draw(st.integers(1, t_total))
+    sub = data.draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=2 * t))
+    assert _same_bytes(bigram_scores_np(ctx, model, np.array(sub), t), full[t][sub])
+
+    pairs = data.draw(st.lists(st.integers(1, t_total).flatmap(
+        lambda e: st.tuples(st.integers(0, e - 1), st.just(e))), min_size=1, max_size=200))
+    starts, ends = (np.array(v) for v in zip(*pairs))
+    assert _same_bytes(bigram_scores_np(ctx, model, starts, ends),
+                       [full[e][s] for s, e in pairs])
+
+    # a lockstep stack: B batches of column t's starts, padded to m lanes
+    batches = [rng.choice(t, size=rng.integers(1, t + 1), replace=False)
+               for _ in range(data.draw(st.integers(1, 6)))]
+    m = max(len(b) for b in batches)
+    padded = np.stack([np.concatenate([b, rng.integers(0, t, size=m - len(b))])
+                       for b in batches])
+    e = bigram_out(model, np.stack([_bigram_hidden(ctx, model, row, t) for row in padded]))
+    for row, b in zip(e, batches):
+        assert _same_bytes(row[:len(b)], full[t][b])
+
+
+BLOCK_CAPS = st.sampled_from([1, 7, 50, "T"])
+
+
+@pytest.mark.parametrize("include_end_spans,mean_bigram,shared_head",
+                         list(product([False, True], repeat=3)))
+@settings(max_examples=8, deadline=None)
+@given(t_total=st.integers(20, 150), seed=st.integers(0, 2**32 - 1), cap=BLOCK_CAPS,
+       over=st.integers(0, 20), block_rows=st.sampled_from([None, 1, 9, 64, 300]))
+def test_property_block_scored_capped_sweep_matches_full_column_reference(
+        include_end_spans, mean_bigram, shared_head, t_total, seed, cap, over, block_rows):
+    """Capped sweeps score their spans in blocks of columns; both ranks equal
+    the reference sweep, which scores one column per call, segmentations and
+    score bytes alike. Caps 1, 7, 50 and T or more, at the default block
+    limit or a smaller one, so that the columns split into several blocks."""
+    flags = dict(include_end_spans=include_end_spans, mean_bigram=mean_bigram,
+                 shared_head=shared_head)
+    model, ctx = _instance(flags, t_total, seed)
+    cap = t_total + over if cap == "T" else cap
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(decode_module, "_BLOCK_ROWS", block_rows)
+        with _scored_rows() as rows:
+            got = [dp_segment(ctx, model, cap)] + dp_two_best(ctx, model, cap)
+    limit = max(min(cap, t_total), decode_module._BLOCK_ROWS if block_rows is None
+                else block_rows)
+    assert max(rows) <= limit
+    want = (reference_top_segmentations(ctx, model, cap, 1)
+            + reference_top_segmentations(ctx, model, cap, 2))
+    assert [(seg, score.hex()) for seg, score in got] == \
+        [(seg, score.hex()) for seg, score in want]
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(1, 120), seed=st.integers(0, 2**32 - 1),
+       over=st.integers(0, 5), kind=st.sampled_from(["random", "climb", "saturated"]))
+def test_property_a_cap_of_t_or_more_decodes_as_uncapped(flags, t_total, seed, over, kind):
+    """A cap >= T sweeps every span and the uncapped sweep drops starts that
+    can no longer win; as every span score depends on (s, t) alone, both
+    give the same segmentations and score bytes."""
+    model = small_model(seed=seed % 1000, **flags)
+    rng = np.random.default_rng(seed)
+    if kind == "climb":
+        model.head_bigram[3].value[:] = rng.uniform(-3.0, 3.0)
+        ctx = _climbing_context(model, t_total, rng, rng.uniform(0.05, 1.0))
+    elif kind == "saturated":
+        ctx = _saturated_context(model, t_total, rng)
+    else:
+        ctx = random_context(model, t_total, rng)
+    cap = t_total + over
+    for decode in (dp_segment, dp_two_best):
+        got, want = decode(ctx, model, cap), decode(ctx, model)
+        if decode is dp_segment:
+            got, want = [got], [want]
+        assert [(seg, score.hex()) for seg, score in got] == \
+            [(seg, score.hex()) for seg, score in want]
+
+
+def test_capped_dp_memory_is_bounded_by_the_block_limit():
+    """60 s of audio at a 10 ms shift, capped at 50 and at T. A capped sweep
+    scores its spans in blocks of max(cap, _BLOCK_ROWS) rows, so it holds a
+    few blocks of H floats and O(T) prefix scores, not a table of every
+    span under the cap (T * cap * 8 floats is 19 MiB at cap 50 and 1.1 GiB
+    at cap T, for H=8)."""
+    model = small_model(hidden=8)
+    ctx = random_context(model, 6000, np.random.default_rng(15))
+    for decode, cap in ((dp_two_best, 50), (dp_segment, 6000)):
+        tracemalloc.start()
+        try:
+            result = decode(ctx, model, cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"cap {cap}: tracemalloc peak {peak / 2**20:.1f} MiB"
+        seg, score = result[0] if decode is dp_two_best else result
+        assert score == score_segmentation(ctx, model, seg)
+
+
 # ----- the bound-pruned uncapped sweep against the full-column reference ----
 # Uncapped sweeps drop every start whose prefix score has fallen more than
 # the span-score range behind; tests/reference_dp.py keeps the sweep that
@@ -469,9 +590,10 @@ def test_uncapped_sweep_scores_under_half_the_spans_of_a_long_saturated_context(
 
 
 def test_capped_two_best_scores_every_span_under_the_cap():
-    """Capped sweeps drop a start only when it falls out of the cap: column t
-    scores min(t, cap) rows, at caps 1, 50 and T, on a saturated context on
-    which the uncapped sweep does prune."""
+    """Capped sweeps drop a start only when it falls out of the cap: they
+    score min(t, cap) rows for each column t, each span once, in blocks of
+    at most max(cap, _BLOCK_ROWS) rows, at caps 1, 50 and T, on a saturated
+    context on which the uncapped sweep does prune."""
     model = small_model()
     rng = np.random.default_rng(22)
     ctx = random_context(model, 300, rng, scale=1e3)
@@ -484,7 +606,8 @@ def test_capped_two_best_scores_every_span_under_the_cap():
                                   (dp_two_best, reference_dp_two_best)):
             with _scored_rows() as rows:
                 got = decode(ctx, model, cap)
-            assert rows == [min(t, cap) for t in range(1, 301)]
+            assert sum(rows) == sum(min(t, cap) for t in range(1, 301))
+            assert max(rows) <= max(cap, decode_module._BLOCK_ROWS)
             assert got == reference(ctx, model, cap)
 
 
