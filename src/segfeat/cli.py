@@ -161,7 +161,11 @@ def _load_recording(model, wav_path):
     if wav.sample_rate != model.cfg.sample_rate:
         raise ValueError(f"{wav_path}: sample rate {wav.sample_rate} does not match "
                          f"the model's rate {model.cfg.sample_rate}")
-    return wav_path, wav, assemble_features(wav, model.feature_cfg, model.stats)
+    try:
+        feats = assemble_features(wav, model.feature_cfg, model.stats)
+    except ValueError as exc:  # too short for one analysis window
+        raise ValueError(f"{wav_path}: {exc}") from None
+    return wav_path, wav, feats
 
 
 def _write_segmentation(seg, recording, out_dir, textgrid):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -15,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, read_wav, write_wav
-from .features import FeatureConfig, FeatureStats, FrameMatrix, apply_stats, assemble_features
+from .features import (FeatureConfig, FeatureStats, FrameMatrix, _rewrite, apply_stats,
+                       assemble_features)
 from .model import ModelConfig, Segmentation
 
 NONSPEECH_SYMBOLS = ("sil", "noise", "iva")
@@ -422,22 +422,9 @@ def write_synth_corpus(items, out_dir, splits) -> Path:
     return manifest_path
 
 
-def _rewrite_text(path, text: str):
-    """Make `text` (ASCII) the whole content of the file at path, creating it
-    if missing. The file is opened without O_TRUNC and cut to the new length
-    after the write: on ext4 with auto_da_alloc, cutting an allocated file to
-    zero (open(path, "w"), or a rename or unlink over it) can stall its
-    close by tens of milliseconds. As before, the write is not atomic: a
-    reader may see a mix of the old and the new bytes."""
-    data = text.encode("ascii")
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        f.truncate()
-
-
 def write_boundaries_csv(path, times):
     """One 'time_s' header line, then one boundary time (seconds) per line."""
-    _rewrite_text(path, "time_s\n" + "".join(f"{float(t)!r}\n" for t in times))
+    _rewrite(path, ("time_s\n" + "".join(f"{float(t)!r}\n" for t in times)).encode("ascii"))
 
 
 def read_boundaries_csv(path):
@@ -493,7 +480,7 @@ def write_textgrid(path, times, total_duration: float):
             f"            xmax = {b!r}",
             '            text = ""',
         ]
-    _rewrite_text(path, "\n".join(lines) + "\n")
+    _rewrite(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def split_train_val(items, val_fraction: float = VAL_FRACTION, seed: int = VAL_SEED):

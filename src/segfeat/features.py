@@ -8,6 +8,7 @@ their deltas and delta-deltas, plus the Euclidean distances between the
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,11 +238,22 @@ def assemble_features(w: Waveform, cfg: FeatureConfig,
 
 # ----- feature dumps --------------------------------------------------------
 
+def _rewrite(path, data: bytes):
+    """Make `data` the whole content of the file at path, creating it if
+    missing. The file is opened without O_TRUNC and cut to the new length
+    after the write: on ext4 with auto_da_alloc, cutting an allocated file to
+    zero (open(path, "w"), or a rename or unlink over it) can stall its
+    close by tens of milliseconds. As before, the write is not atomic: a
+    reader may see a mix of the old and the new bytes."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
 def write_features_bin(path, m: FrameMatrix):
     """Binary dump: ASCII header 'T D frame_shift', then row-major <f4 data."""
-    with open(path, "wb") as f:
-        f.write(f"{m.n_frames} {m.dim} {float(m.frame_shift)!r}\n".encode("ascii"))
-        f.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+    _rewrite(path, f"{m.n_frames} {m.dim} {float(m.frame_shift)!r}\n".encode("ascii")
+             + np.ascontiguousarray(m.data, dtype="<f4").tobytes())
 
 
 def read_features_bin(path) -> FrameMatrix:
@@ -257,17 +269,14 @@ def read_features_bin(path) -> FrameMatrix:
 
 
 def write_features_csv(path, m: FrameMatrix):
-    with open(path, "w", encoding="ascii") as f:
-        for row in m.data:
-            f.write(",".join(repr(float(v)) for v in row))
-            f.write("\n")
+    _rewrite(path, "".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for row in m.data).encode("ascii"))
 
 
 def write_stats(path, stats: FeatureStats):
-    with open(path, "w", encoding="ascii") as f:
-        f.write("mean,std\n")
-        for mu, sd in zip(stats.mean, stats.std):
-            f.write(f"{float(mu)!r},{float(sd)!r}\n")
+    lines = ["mean,std"] + [f"{float(mu)!r},{float(sd)!r}"
+                            for mu, sd in zip(stats.mean, stats.std)]
+    _rewrite(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_stats(path) -> FeatureStats:

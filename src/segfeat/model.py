@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .autodiff import ParameterSet, Tape, Tensor, _acc
-from .features import FeatureConfig, FeatureStats, FrameMatrix
+from .features import FeatureConfig, FeatureStats, FrameMatrix, _rewrite
 from .nn import bilstm_encode, bilstm_encode_many, init_affine, init_lstm, mlp2
 
 MODEL_MAGIC = b"SEGFEAT\x00"
@@ -150,28 +151,28 @@ class SegmentalModel:
             "params": manifest,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(MODEL_MAGIC)
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(self.params.values.astype("<f8").tobytes())  # every block, in name order
-            if stats_present:
-                f.write(np.ascontiguousarray(self.stats.mean, dtype="<f8").tobytes())
-                f.write(np.ascontiguousarray(self.stats.std, dtype="<f8").tobytes())
+        parts = [MODEL_MAGIC, struct.pack("<I", len(blob)), blob,
+                 self.params.values.astype("<f8").tobytes()]  # every block, in name order
+        if stats_present:
+            parts += [np.ascontiguousarray(self.stats.mean, dtype="<f8").tobytes(),
+                      np.ascontiguousarray(self.stats.std, dtype="<f8").tobytes()]
+        _rewrite(path, b"".join(parts))
 
     @classmethod
     def load(cls, path) -> "SegmentalModel":
         with open(path, "rb") as f:
-            magic = f.read(len(MODEL_MAGIC))
-            if magic != MODEL_MAGIC:
+            size = os.fstat(f.fileno()).st_size
+
+            def read(n):
+                """n bytes; a size stated past the end of the file reads nothing."""
+                if n > size - f.tell():
+                    raise ValueError(f"truncated model file: {path}")
+                return f.read(n)
+
+            if f.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
                 raise ValueError(f"not a model file: {path}")
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise ValueError(f"truncated model file: {path}")
-            (hlen,) = struct.unpack("<I", raw)
-            raw = f.read(hlen)
-            if len(raw) != hlen:
-                raise ValueError(f"truncated model file: {path}")
+            (hlen,) = struct.unpack("<I", read(4))
+            raw = read(hlen)
             try:
                 header = json.loads(raw.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
@@ -183,10 +184,7 @@ class SegmentalModel:
                     raise ValueError(f"model file header lacks {key!r}: {path}")
             blocks = {}
             for name, shape in _param_entries(header, path):
-                count = int(np.prod(shape)) if shape else 1
-                raw = f.read(8 * count)
-                if len(raw) != 8 * count:
-                    raise ValueError(f"truncated model file: {path}")
+                raw = read(8 * math.prod(shape))
                 blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
                 if not np.isfinite(blocks[name]).all():
                     raise ValueError(f"non-finite value in block {name!r} of model file: {path}")

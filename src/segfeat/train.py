@@ -10,6 +10,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .decode import dp_segment, dp_segment_many
+from .features import _rewrite
 from .losses import bin_loss, frame_labels_from, hinge_loss, phn_loss
 from .metrics import EvalReport, TolerancePolicy, evaluate_corpus
 from .model import SegmentalModel, boundary_logits, build_context, phoneme_logits
@@ -84,10 +85,8 @@ class EpochLog:
 
 
 def write_epoch_logs(path, logs):
-    with open(path, "w", encoding="ascii") as f:
-        f.write(EpochLog.CSV_HEADER + "\n")
-        for log in logs:
-            f.write(log.as_csv() + "\n")
+    lines = [EpochLog.CSV_HEADER] + [log.as_csv() for log in logs]
+    _rewrite(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_epoch_logs(path):

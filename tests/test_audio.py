@@ -125,3 +125,53 @@ def test_waveform_invariants():
         Waveform(np.array([0.0, np.nan]), 16000)
     with pytest.raises(ValueError):
         Waveform(np.array([0.0]), 0)
+
+
+# ----- every error names the file --------------------------------------------
+
+def _fmt_size(blob, size):
+    """The PCM-16 header with its `fmt ` chunk's size field (bytes 16-19) set."""
+    return blob[:16] + struct.pack("<I", size) + blob[20:]
+
+
+def _chunk_before_data(blob, size):
+    """An unknown 4-byte chunk that states `size` bytes, before the data chunk."""
+    at = blob.index(b"data")
+    return blob[:at] + b"LIST" + struct.pack("<I", size) + b"abcd" + blob[at:]
+
+
+def _edited_wav(tmp_path, edit):
+    path = tmp_path / "edited.wav"
+    write_wav(path, np.zeros(160), 16000)
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+PAST_THE_END = [lambda b: _fmt_size(b, 2**31), lambda b: _chunk_before_data(b, 10**6)]
+
+
+@pytest.mark.parametrize("edit", PAST_THE_END, ids=["fmt-size-2^31", "chunk-past-eof"])
+def test_a_chunk_size_past_the_end_of_the_file_is_malformed(tmp_path, edit):
+    """wave's chunk reader raised a bare RuntimeError here."""
+    path = _edited_wav(tmp_path, edit)
+    with pytest.raises(MalformedWavError, match="past the end") as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda b: b"this is not a riff container at all", MalformedWavError),
+    (lambda b: _mulaw_wav_bytes(), UnsupportedCodecError),
+    (lambda b: b[:34] + struct.pack("<H", 8) + b[36:], UnsupportedCodecError),
+    (lambda b: b[:40] + struct.pack("<I", 0) + b[44:44], MalformedWavError),
+    (lambda b: b[:45], MalformedWavError),
+    (lambda b: b[:24] + struct.pack("<I", 0) + b[28:], MalformedWavError),
+    (lambda b: b[:20], MalformedWavError),
+] + [(edit, MalformedWavError) for edit in PAST_THE_END],
+    ids=["not-riff", "mu-law", "8-bit", "no-samples", "cut-in-a-frame", "zero-rate",
+         "cut-in-header", "fmt-size-2^31", "chunk-past-eof"])
+def test_every_read_wav_error_names_the_file(tmp_path, edit, error):
+    path = _edited_wav(tmp_path, edit)
+    with pytest.raises(error) as info:
+        read_wav(path)
+    assert str(path) in str(info.value)

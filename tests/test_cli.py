@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import inspect
 import io
+import itertools
 import struct
 import tracemalloc
 from pathlib import Path
@@ -980,3 +981,117 @@ def test_eval_exits_0_or_3_naming_the_fuzzed_file(fuzz_corpus, target, kept, tex
     assert rc in (EXIT_OK, EXIT_DATA), err.getvalue()
     if rc == EXIT_DATA:
         assert str(path) in err.getvalue()
+
+
+# ----- fuzzed binary readers -------------------------------------------------
+
+# 4-byte little-endian values for a length or size field: small, around the
+# PCM-16 header's own sizes, and past any file (2^31 sent wave's chunk reader
+# into a bare RuntimeError, which exited 4).
+FUZZ_SIZES = (0, 1, 2, 15, 16, 17, 44, 2**15, 2**16 - 1, 2**31, 2**32 - 1)
+
+
+def _edits(header_bytes, body_bytes):
+    """Edits of a file whose header takes header_bytes and whose blocks follow
+    for up to body_bytes: set a header byte, write a 4-byte size into the
+    header, flip bits of a block byte, or cut the file short."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("byte"), st.integers(0, header_bytes - 1), st.integers(0, 255)),
+        st.tuples(st.just("size"), st.integers(0, header_bytes - 4), st.sampled_from(FUZZ_SIZES)),
+        st.tuples(st.just("flip"), st.integers(header_bytes, header_bytes + body_bytes - 1),
+                  st.integers(1, 255)),
+        st.tuples(st.just("cut"), st.integers(0, header_bytes + body_bytes), st.just(0)),
+    ), min_size=1, max_size=4)
+
+
+def _edited(blob, edits):
+    out = bytearray(blob)
+    for op, at, value in edits:
+        if op == "cut":
+            del out[at:]
+        elif at < len(out):
+            if op == "byte":
+                out[at] = value
+            elif op == "size":
+                out[at:at + 4] = struct.pack("<I", value)
+            else:
+                out[at] ^= value
+    return bytes(out)
+
+
+def _fresh_file(directory, suffix, blob):
+    """Write blob to a new file: writing over one that is allocated can stall
+    for tens of milliseconds on ext4, when the file is cut to zero."""
+    path = directory / f"fuzzed{next(_FRESH_FILES)}{suffix}"
+    path.write_bytes(blob)
+    return path
+
+
+_FRESH_FILES = itertools.count()
+
+
+def _segment_exit(model_path, wav_path, out_dir):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["segment", "--model", str(model_path), "--wav", str(wav_path),
+                   "--out", str(out_dir)])
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_recording(tmp_path_factory):
+    """A 0.1 s PCM-16 WAV and a tiny model that decodes it."""
+    out = tmp_path_factory.mktemp("fuzz_bin")
+    SegmentalModel(ModelConfig(hidden_size=2, num_layers=1), FeatureConfig()).save(
+        out / "model.bin")
+    write_wav(out / "rec.wav", 0.3 * np.sin(np.arange(1600) / 7.0), 16000)
+    return out
+
+
+@pytest.mark.parametrize("at, size", [(16, 2**31), (36, 10**6)],
+                         ids=["fmt-size-2^31", "chunk-past-eof"])
+def test_segment_exits_3_on_a_wav_chunk_size_past_the_end_of_the_file(fuzz_recording, at,
+                                                                       size):
+    """A `fmt ` chunk that states 2^31 bytes, or an unknown chunk before the
+    data that states more bytes than the file holds: wave's chunk reader
+    raised a bare RuntimeError, and `segment` exited 4 printing `error: `."""
+    blob = (fuzz_recording / "rec.wav").read_bytes()
+    if at == 36:  # an unknown chunk in front of the data chunk
+        blob = blob[:36] + b"LIST" + struct.pack("<I", size) + b"abcd" + blob[36:]
+    else:
+        blob = blob[:at] + struct.pack("<I", size) + blob[at + 4:]
+    wav = _fresh_file(fuzz_recording, ".wav", blob)
+    rc, err = _segment_exit(fuzz_recording / "model.bin", wav, fuzz_recording / "o")
+    assert rc == EXIT_DATA
+    assert "past the end" in err and str(wav) in err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits=_edits(44, 64), chunk=st.one_of(st.none(), st.sampled_from(FUZZ_SIZES)))
+def test_segment_exits_0_or_3_naming_the_fuzzed_wav(fuzz_recording, edits, chunk):
+    """A PCM-16 WAV with edited header bytes or sizes, flipped sample bytes,
+    a cut, or an unknown chunk of any stated size before its data, decodes
+    (exit 0) or is a data error (3) that names the file, never exit 4."""
+    blob = (fuzz_recording / "rec.wav").read_bytes()
+    if chunk is not None:
+        at = blob.index(b"data")
+        blob = blob[:at] + b"LIST" + struct.pack("<I", chunk) + b"abcd" + blob[at:]
+    wav = _fresh_file(fuzz_recording, ".wav", _edited(blob, edits))
+    rc, err = _segment_exit(fuzz_recording / "model.bin", wav, fuzz_recording / "o")
+    assert rc in (EXIT_OK, EXIT_DATA), err
+    if rc == EXIT_DATA:
+        assert str(wav) in err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_segment_exits_0_or_3_on_a_fuzzed_checkpoint(fuzz_recording, trained_dir, data):
+    """A trained checkpoint with edited magic, header length or header bytes,
+    flipped parameter or feature-statistics bytes, or a cut, loads and
+    decodes (exit 0) or is a data error (3), never exit 4."""
+    blob = (trained_dir / "model_best.bin").read_bytes()
+    header_end = len(MODEL_MAGIC) + 4 + struct.unpack("<I", blob[len(MODEL_MAGIC):][:4])[0]
+    edits = data.draw(_edits(header_end, len(blob) - header_end))
+    model = _fresh_file(fuzz_recording, ".bin", _edited(blob, edits))
+    rc, err = _segment_exit(model, fuzz_recording / "rec.wav", fuzz_recording / "o")
+    assert rc in (EXIT_OK, EXIT_DATA), err

@@ -662,3 +662,146 @@ def test_property_lockstep_sweep_equals_one_dp_segment_per_context(flags, seed, 
     got = decode_module._lockstep_segment(ctxs, model)
     assert [(seg, score.hex()) for seg, score in got] == \
         [(seg, score.hex()) for seg, score in want]
+
+
+# ----- the block bound of the uncapped sweep ---------------------------------
+# Before each block of columns, the uncapped sweep leaves out the starts
+# whose spans into the block, bounded unit by unit, cannot lift them into the
+# kept ranks of any of its columns (decode._block_keep).
+
+CONTEXT_KINDS = ["random", "climb", "zero_span", "equal_rows", "saturated"]
+
+
+def _context(kind, model, t_total, rng):
+    if kind == "climb":
+        model.head_bigram[3].value[:] = rng.uniform(-3.0, 3.0)
+        return _climbing_context(model, t_total, rng, rng.uniform(0.05, 1.0))
+    make = {"random": random_context, "zero_span": _zero_span_context,
+            "equal_rows": _equal_rows_context, "saturated": _saturated_context}[kind]
+    return make(model, t_total, rng)
+
+
+def _hex(results):
+    return [(seg, score.hex()) for seg, score in results]
+
+
+@pytest.mark.parametrize("include_end_spans,mean_bigram,shared_head",
+                         list(product([False, True], repeat=3)))
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(CONTEXT_KINDS), t_total=st.integers(1, 150),
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([None, 1, 3, 16]))
+def test_property_block_pruned_sweep_matches_full_column_reference(
+        include_end_spans, mean_bigram, shared_head, kind, t_total, seed, block):
+    """Random, climbing, tied (zero-span, equal-row) and saturated contexts
+    under every flag combination: both ranks equal the full-column reference,
+    segmentations and score bytes, at the default block length or at 1, 3 or
+    16 columns, so that block edges fall everywhere."""
+    model = small_model(seed=seed % 1000, include_end_spans=include_end_spans,
+                        mean_bigram=mean_bigram, shared_head=shared_head)
+    ctx = _context(kind, model, t_total, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(decode_module, "_BLOCK_COLUMNS", block)
+        got = [dp_segment(ctx, model)] + dp_two_best(ctx, model)
+    want = (reference_top_segmentations(ctx, model, None, 1)
+            + reference_top_segmentations(ctx, model, None, 2))
+    assert _hex(got) == _hex(want)
+
+
+@PROPERTY_SETTINGS
+@given(flags=MODEL_FLAGS, t_total=st.integers(80, 150), seed=st.integers(0, 2**32 - 1))
+def test_property_block_bound_drops_starts_that_the_list_rule_keeps(flags, t_total, seed):
+    """On random contexts the list rule (_prune_bound) keeps most starts; the
+    block bound must leave some of them out of a block, so the sweep scores
+    fewer rows than with the block bound switched off, and still equals the
+    full-column reference."""
+    model, ctx = _instance(flags, t_total, seed)
+    for decode, ranks in ((dp_segment, 1), (dp_two_best, 2)):
+        with _scored_rows() as rows:
+            got = decode(ctx, model)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decode_module, "_block_keep",
+                       lambda ctx, model, prefix, starts, *rest: np.ones(len(starts), bool))
+            with _scored_rows() as list_rule_rows:
+                assert decode(ctx, model) == got
+        assert sum(rows) < sum(list_rule_rows), "the block bound never fired"
+        got = [got] if ranks == 1 else got
+        assert _hex(got) == _hex(reference_top_segmentations(ctx, model, None, ranks))
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 16])
+def test_block_slack_keeps_a_start_that_ties_only_after_rounding(block):
+    """Every span scores 0, so the block bounds are exact: start 1 (prefix 1)
+    trails start 2 and every later start (1 + 2^-30) by less than the slack.
+    The first column of a block that starts after frame 2 adds a unary score
+    of 2^40, where all of their candidates round to 2^40 + 1: they tie, and
+    the tie goes to the smaller start. The slack, which scales with the
+    largest unary score, keeps start 1 in the block so the sweep picks it;
+    the list rule's slack keeps it live up to there."""
+    model = small_model()
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    tie = 1 + block * -(-2 // block)  # the first block to start after frame 2
+    ctx = random_context(model, tie + 2, np.random.default_rng(0))
+    ctx.unary.value[:, 0] = 0.0
+    ctx.unary.value[[1, 2, tie], 0] = [1.0, 2.0**-30, 2.0**40]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_module, "_BLOCK_COLUMNS", block)
+        best, two = dp_segment(ctx, model), dp_two_best(ctx, model)
+    assert best[0].boundaries == (1, tie)
+    assert _hex([best]) == _hex([reference_dp_segment(ctx, model)])
+    assert _hex(two) == _hex(reference_dp_two_best(ctx, model))
+
+
+@pytest.mark.parametrize("block", [4, 16])
+def test_mean_bigram_block_bound_spans_every_length_in_the_block(block):
+    """With mean_bigram, a span's input is (Q[t] - Q[s]) / (t - s). Only frame
+    0 has a nonzero hidden state here, so spans from 0 score 4 tanh(D / t),
+    which falls across the last block [block + 1, 2 block + 1), and all other
+    spans score 0. Start `block` (prefix p) beats one segment from 0 at the
+    last column: 4 tanh(D / T) < p < 4 tanh(D / (block + 1)). A bound that took
+    the lengths at the block's first column only would lift start 0's lower
+    bound to 4 tanh(D / (block + 1)) and leave start `block` out."""
+    model = small_model(hidden=1, mean_bigram=True)
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    w1, _, w2, _ = model.head_bigram
+    w1.value[0, 0], w2.value[0, 0] = 1.0, 4.0
+    t_total, d = 2 * block, block + 1.0
+    hidden = np.zeros((t_total, 2))
+    hidden[0, 0] = d
+    tape = ReferenceTape()
+    ctx = context_from_hidden(tape, model, tape.tensor(hidden))
+    ctx.unary.value[:, 0] = -10.0
+    p = 2.0 * (np.tanh(d / t_total) + np.tanh(d / (block + 1)))
+    ctx.unary.value[block, 0] = p - 4.0 * np.tanh(d / block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_module, "_BLOCK_COLUMNS", block)
+        best, two = dp_segment(ctx, model), dp_two_best(ctx, model)
+    assert best[0].boundaries == (block,)
+    assert _hex([best]) == _hex([reference_dp_segment(ctx, model)])
+    assert _hex(two) == _hex(reference_dp_two_best(ctx, model))
+
+
+def test_uncapped_dp_memory_is_linear_in_frames_when_nothing_is_pruned():
+    """60 s of audio at a 10 ms shift, with every parameter and unary score 0:
+    every segmentation scores 0, no start can be dropped, and the sweep scores
+    all T(T+1)/2 spans, in calls of at most max(T, _BLOCK_ROWS) rows, in a few
+    such calls' worth of memory (the spans of one block of 16 columns hold
+    up to 96,000 rows of H floats, 6 MiB)."""
+    model = small_model(hidden=8)
+    for tensor in model.params.tensors():
+        tensor.value[:] = 0.0
+    ctx = random_context(model, 6000, np.random.default_rng(16))
+    ctx.unary.value[:] = 0.0
+    with _scored_rows() as rows:
+        tracemalloc.start()
+        try:
+            seg, score = dp_segment(ctx, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sum(rows) == 6000 * 6001 // 2
+    assert max(rows) <= max(6000, decode_module._BLOCK_ROWS)
+    assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+    assert (seg.boundaries, score) == ((), 0.0)

@@ -278,6 +278,22 @@ def test_model_serialization_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("order", ["shrink", "grow"])
+def test_saving_over_a_checkpoint_writes_the_bytes_of_a_fresh_save(tmp_path, order):
+    """save writes over an existing file without cutting it to zero first,
+    then cuts it to the new length: over a larger checkpoint (shrinking)
+    or a smaller one (growing), the file holds exactly a fresh save's bytes."""
+    small = small_model(hidden=2, seed=1)
+    large = small_model(hidden=8, seed=2, inventory=("a", "b"), with_bin=True)
+    large.stats = FeatureStats(np.linspace(-1, 1, 43), np.linspace(0.1, 3, 43))
+    first, second = (large, small) if order == "shrink" else (small, large)
+    second.save(tmp_path / "fresh.bin")
+    path = tmp_path / "over.bin"
+    first.save(path)
+    second.save(path)
+    assert path.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+
+
 def test_model_load_rejects_garbage(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"not a model at all")

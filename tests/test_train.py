@@ -178,6 +178,22 @@ def test_epoch_log_roundtrip(tmp_path):
     assert back == logs
 
 
+@pytest.mark.parametrize("order", ["shrink", "grow"])
+def test_writing_over_epoch_logs_writes_the_bytes_of_a_fresh_write(tmp_path, order):
+    """epochs.csv is written over in place and cut to its new length: over
+    a longer log (shrinking) or a shorter one (growing), the file holds
+    exactly a fresh write's bytes."""
+    long = [EpochLog(e, 1.25 / (e + 1), 0.5, 0.0, 0.9, 0.8, 0.85, 0.82, 1.75) for e in range(5)]
+    short = long[:1]
+    first, second = (long, short) if order == "shrink" else (short, long)
+    write_epoch_logs(tmp_path / "fresh.csv", second)
+    path = tmp_path / "epochs.csv"
+    write_epoch_logs(path, first)
+    write_epoch_logs(path, second)
+    assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert read_epoch_logs(path) == second
+
+
 def test_validate_model_scores_tiny_corpus():
     utts = tiny_corpus(3, seed=14)
     model = make_model(seed=15)
